@@ -13,8 +13,9 @@ written to ``benchmarks/results/BENCH_backends.json``::
     python benchmarks/bench_backends.py            # standalone, same JSON
     python benchmarks/bench_backends.py --smoke    # tiny scenario (CI)
 
-This file seeds the backend-performance trajectory: the CI job uploads the
-JSON per PR so regressions in either backend are visible.
+It reports and asserts no speed bar: the timings are single samples, and
+its lasting use is the fidelity side (``s``, ``L`` and median iteration on
+both backends).  CI's perf job uploads the JSON with every run.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ from repro.noise.background import BackgroundTraffic, NoiseLevel
 from repro.workloads.microbench import PingPongBenchmark
 
 BACKENDS = ("flit", "flow")
-
-#: The acceptance bar: the flow backend must beat flit by at least this
-#: factor on the benchmark scenario (it typically wins by 50-100x).
-MIN_FLOW_SPEEDUP = 10.0
 
 
 def run_backend(backend: str, scale: ExperimentScale) -> dict:
@@ -123,7 +120,6 @@ def test_backend_throughput(benchmark, scale, results_dir):
     _write_json(payload, results_dir)
     emit(results_dir, "backends", _render(payload))
     assert {entry["backend"] for entry in payload["series"]} == set(BACKENDS)
-    assert payload["flow_speedup_vs_flit"] >= MIN_FLOW_SPEEDUP
 
 
 if __name__ == "__main__":

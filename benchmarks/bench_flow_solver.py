@@ -19,6 +19,7 @@ A JSON artifact with the series is written to
 The default (non-smoke) run covers 100 / 1k / 10k / 100k concurrent flows;
 the reference solver is only timed up to ``REFERENCE_MAX_FLOWS`` (a full
 pure-Python solve at 100k flows takes minutes and proves nothing new).
+The script reports and asserts no speed bar: each timing is one sample.
 """
 
 from __future__ import annotations
@@ -47,10 +48,6 @@ REFERENCE_MAX_FLOWS = 10_000
 #: Incremental churn steps timed per engine.
 CHURN_STEPS = 50
 REFERENCE_CHURN_STEPS = 5
-
-#: Acceptance bars asserted by the pytest wrapper (and CI).
-MIN_SPEEDUP_AT_10K = 10.0
-MIN_SPEEDUP_SMOKE = 2.0
 
 LINKS_PER_CLUSTER = 24
 SEED = 2019
@@ -206,30 +203,12 @@ def _render(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _assert_bars(payload: dict) -> None:
-    """The acceptance bars, shared by pytest and the CI step."""
-    compared = [e for e in payload["series"] if e.get("reference")]
-    assert compared, "no size ran both engines"
-    largest = max(compared, key=lambda e: e["flows"])
-    if largest["flows"] >= 10_000:
-        assert largest["speedup_full"] >= MIN_SPEEDUP_AT_10K, (
-            f"vectorized solver regressed: {largest['speedup_full']}x at "
-            f"{largest['flows']} flows (bar: {MIN_SPEEDUP_AT_10K}x)"
-        )
-    else:  # smoke sizes: a softer sanity bar
-        assert largest["speedup_full"] >= MIN_SPEEDUP_SMOKE, (
-            f"vectorized solver regressed: {largest['speedup_full']}x at "
-            f"{largest['flows']} flows (bar: {MIN_SPEEDUP_SMOKE}x)"
-        )
-
-
 def test_flow_solver_throughput(benchmark, scale, results_dir):
     """Reference vs vectorized at increasing flow counts; JSON emitted."""
     sizes = SMOKE_SIZES if scale.name == "smoke" else SIZES
     payload = benchmark.pedantic(measure_sizes, args=(sizes,), rounds=1, iterations=1)
     _write_json(payload, results_dir)
     emit(results_dir, "flow_solver", _render(payload))
-    _assert_bars(payload)
 
 
 if __name__ == "__main__":
@@ -243,5 +222,4 @@ if __name__ == "__main__":
     payload = measure_sizes(SMOKE_SIZES if args.smoke else SIZES)
     path = _write_json(payload, RESULTS_DIR)
     print(_render(payload))
-    _assert_bars(payload)
     print(f"wrote {path}")

@@ -1,14 +1,16 @@
-"""Shared infrastructure for the benchmark harness.
+"""Shared infrastructure for the figure and report scripts in ``benchmarks/``.
 
-Every benchmark regenerates one table or figure of the paper and prints the
-corresponding rows/series, so running ``pytest benchmarks/ --benchmark-only``
-produces both timing information (via pytest-benchmark) and the reproduced
-results themselves (via stdout, use ``-s`` to see them live; they are also
-written to ``benchmarks/results/``).
+Most scripts regenerate one table or figure of the paper and print its
+rows/series; ``pytest benchmarks/ -s`` shows them live, and they are also
+written to ``benchmarks/results/``.  The tests take pytest-benchmark's
+``benchmark`` fixture, so ``pytest benchmarks/`` needs the
+``pytest-benchmark`` plugin installed; ``pyproject.toml`` does not declare
+it.  Simulator speed is measured by ``perfbench/``, not here.
 
 The experiment scale is selected with the ``REPRO_BENCH_SCALE`` environment
-variable: ``paper`` (default; reduced-scale stand-in for the paper's runs) or
-``smoke`` (minutes → seconds, for CI).
+variable: ``smoke`` (default; seconds per figure) or ``paper`` (the
+reduced-scale stand-in for the paper's runs; hours of pure-Python
+simulation).
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from repro.core.policy import StaticRoutingPolicy
 from repro.experiments.harness import ExperimentScale, build_network, compare_policies
 from repro.model.base import NetworkModel, build_network_model
 from repro.mpi.job import MpiJob
+from repro.network.counters import CounterSnapshot
 from repro.noise.background import BackgroundTraffic, NoiseLevel
 from repro.routing.modes import RoutingMode
 from repro.workloads.base import Workload
@@ -418,23 +419,16 @@ def run_bisection_stress_large(
         background.stop()
 
     stats = summarize(times)
-    flits = stalled = latency = responses = 0.0
-    for a, b in pairs:
-        for node in (a, b):
-            counters = network.nic(node).counters
-            flits += counters.request_flits
-            stalled += counters.request_flits_stalled_cycles
-            latency += counters.request_packets_cum_latency
-            responses += counters.responses_received
-    stall_ratio = stalled / flits if flits else 0.0
-    avg_latency = latency / responses if responses else 0.0
+    total = CounterSnapshot.total(
+        network.nic(node).counters for pair in pairs for node in pair
+    )
     return {
         "metrics": {
             "median": stats.median,
             "p95": stats.whisker_high,
             "qcd": stats.qcd,
-            "stall_ratio": stall_ratio,
-            "avg_packet_latency": avg_latency,
+            "stall_ratio": total.stall_ratio,
+            "avg_packet_latency": total.avg_packet_latency,
         },
         "data": {
             "nodes": network.num_nodes,
@@ -445,7 +439,7 @@ def run_bisection_stress_large(
         "report": (
             f"bisection {len(pairs)} pair(s) on {network.num_nodes} nodes, "
             f"{mode}/{noise}: median {stats.median:.0f} cycles, "
-            f"s {stall_ratio:.3f}, L {avg_latency:.1f}"
+            f"s {total.stall_ratio:.3f}, L {total.avg_packet_latency:.1f}"
         ),
     }
 
@@ -518,24 +512,17 @@ def run_bisection_full(
         background.stop()
 
     stats = summarize(times)
-    flits = stalled = latency = responses = 0.0
-    for a, b in pairs:
-        for node in (a, b):
-            counters = network.nic(node).counters
-            flits += counters.request_flits
-            stalled += counters.request_flits_stalled_cycles
-            latency += counters.request_packets_cum_latency
-            responses += counters.responses_received
-    stall_ratio = stalled / flits if flits else 0.0
-    avg_latency = latency / responses if responses else 0.0
+    total = CounterSnapshot.total(
+        network.nic(node).counters for pair in pairs for node in pair
+    )
     solver_stats = getattr(network, "solver_stats", {})
     return {
         "metrics": {
             "median": stats.median,
             "p95": stats.whisker_high,
             "qcd": stats.qcd,
-            "stall_ratio": stall_ratio,
-            "avg_packet_latency": avg_latency,
+            "stall_ratio": total.stall_ratio,
+            "avg_packet_latency": total.avg_packet_latency,
             "peak_flows": float(peak_flows),
         },
         "data": {
@@ -549,8 +536,8 @@ def run_bisection_full(
         "report": (
             f"full bisection, {len(pairs)} pairs x2 on {network.num_nodes} nodes "
             f"({peak_flows} concurrent flows), {mode}/{noise}: "
-            f"median {stats.median:.0f} cycles, s {stall_ratio:.3f}, "
-            f"L {avg_latency:.1f}"
+            f"median {stats.median:.0f} cycles, s {total.stall_ratio:.3f}, "
+            f"L {total.avg_packet_latency:.1f}"
         ),
     }
 

@@ -52,8 +52,7 @@ class ExperimentScale:
     #: NIC packetization used by the experiments.  The hardware uses 64-byte
     #: packets of 16-byte flits; the larger experiments coalesce packets
     #: (keeping the packet/flit ratio) so the pure-Python simulator moves
-    #: fewer packets per byte — a pure simulation-cost knob, documented in
-    #: EXPERIMENTS.md.
+    #: fewer packets per byte — a pure simulation-cost knob.
     packet_payload_bytes: int = 64
     flit_payload_bytes: int = 16
     seed: int = 2019
@@ -116,8 +115,7 @@ class ExperimentScale:
 
         The default is ``smoke`` so that the full benchmark harness completes
         in minutes on a laptop; export ``REPRO_BENCH_SCALE=paper`` for the
-        larger configuration (hours of pure-Python simulation — see
-        EXPERIMENTS.md for per-figure runtime expectations).
+        larger configuration (hours of pure-Python simulation).
         """
         value = os.environ.get(variable, "smoke")
         try:

@@ -103,14 +103,14 @@ class FlitCostModel(CostModel):
     #: Work units charged per *predicted* event, by simulation engine.  The
     #: prediction below (flits x hops) tracks the pre-coalescing engine;
     #: since the event-coalesced credit flow and calendar scheduler, the
-    #: flit backend executes ~1.7x fewer simulator events than the product
-    #: suggests and finishes ~1.6x faster end to end, so each predicted
-    #: unit is re-weighted accordingly.  The batch engine runs the same
-    #: events through the fused network plane ~1.1x faster still (both
-    #: ratios from BENCH_flit_engine.json), so a run that selects it is
-    #: charged proportionally less — ``backend="auto"`` routing and
+    #: smoke noisy 16 KiB ping-pong runs 101,337 events instead of 168,438
+    #: (1.66x fewer) and finishes ~1.6x faster end to end, so each predicted
+    #: unit is re-weighted accordingly.  The batch engine runs the same events
+    #: through the fused network plane faster than calendar (1.03x by min
+    #: CPU of 7 interleaved runs, 1.08x in one wall-clock sample), so a run
+    #: that selects it is charged less — ``backend="auto"`` routing and
     #: ``--budget`` admission then reflect the engine the run will really
-    #: use.  ``reference`` shares the calendar weight: its ~5% scheduler
+    #: use.  ``reference`` shares the calendar weight: its ~7% scheduler
     #: overhead is below the noise floor of these planning proxies.
     engine_unit_cost: ClassVar[Dict[str, float]] = {
         "calendar": 0.6,

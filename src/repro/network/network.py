@@ -18,6 +18,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.config import SimulationConfig
 from repro.model.base import NetworkModel
+from repro.network.counters import CounterSnapshot
 from repro.network.link import Link
 from repro.network.nic import Nic
 from repro.network.packet import Message, Packet, RdmaOp
@@ -84,20 +85,13 @@ class FlitLinkSampler(ProbeSampler):
             recorder.series_for("queue", cls, group).add(now, queued / n)
             recorder.series_for("stalled_links", cls, group).add(now, stalled)
         for group, nics in self._nic_buckets:
-            flits = stalled_cycles = responses = 0
-            cum_latency = 0.0
-            for nic in nics:
-                counters = nic.counters
-                flits += counters.request_flits
-                stalled_cycles += counters.request_flits_stalled_cycles
-                cum_latency += counters.request_packets_cum_latency
-                responses += counters.responses_received
-            stall_ratio = stalled_cycles / flits if flits else 0.0
-            latency = cum_latency / responses if responses else 0.0
+            total = CounterSnapshot.total(nic.counters for nic in nics)
             recorder.series_for("nic_stall_ratio", "nic", group).add(
-                now, stall_ratio
+                now, total.stall_ratio
             )
-            recorder.series_for("nic_latency", "nic", group).add(now, latency)
+            recorder.series_for("nic_latency", "nic", group).add(
+                now, total.avg_packet_latency
+            )
 
 
 class Network(NetworkModel):

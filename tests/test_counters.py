@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import NicConfig
+from repro.config import NicConfig, SimulationConfig
 from repro.network.counters import CounterSnapshot, CounterWraparoundError, NicCounters
+from repro.network.network import Network
 
 
 class TestNicCounters:
@@ -110,6 +111,47 @@ class TestCounterSnapshot:
             counters.on_stall(s)
         ratio = counters.snapshot().stall_ratio
         assert ratio == pytest.approx(sum(stalls) / sum(flits))
+
+
+class TestCounterTotal:
+    def test_total_of_several_blocks(self):
+        blocks = [NicCounters(), NicCounters(), NicCounters()]
+        for i, counters in enumerate(blocks, start=1):
+            counters.on_packet_injected(4 * i)
+            counters.on_stall(10 * i)
+            counters.on_response(100.0 * i)
+        total = CounterSnapshot.total(blocks)
+        assert total == CounterSnapshot(24, 60, 3, 600.0, 3)
+        assert total.stall_ratio == 60 / 24
+        assert total.avg_packet_latency == 200.0
+        # Snapshots sum the same as live counter blocks.
+        assert CounterSnapshot.total(c.snapshot() for c in blocks) == total
+
+    def test_empty_total_is_zero(self):
+        total = CounterSnapshot.total([])
+        assert total == CounterSnapshot(0, 0, 0, 0.0, 0)
+        assert total.stall_ratio == 0.0
+        assert total.avg_packet_latency == 0.0
+
+    def test_total_matches_hand_sums_of_a_flit_run(self):
+        network = Network(SimulationConfig.tiny())
+        endpoints = (0, network.num_nodes - 1)
+        network.send(endpoints[0], endpoints[1], 4096)
+        network.send(endpoints[1], endpoints[0], 2048)
+        network.run_until_idle()
+        blocks = [network.nic(node).counters for node in endpoints]
+        flits = sum(c.request_flits for c in blocks)
+        stalled = sum(c.request_flits_stalled_cycles for c in blocks)
+        latency = 0.0
+        for c in blocks:
+            latency += c.request_packets_cum_latency
+        responses = sum(c.responses_received for c in blocks)
+        total = CounterSnapshot.total(blocks)
+        assert flits > 0 and responses > 0
+        assert total.request_flits == flits
+        assert total.request_packets == sum(c.request_packets for c in blocks)
+        assert total.stall_ratio == stalled / flits
+        assert total.avg_packet_latency == latency / responses
 
 
 class TestCounterWraparound:

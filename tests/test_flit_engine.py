@@ -1,12 +1,12 @@
 """Flit-engine suite: selection, calendar-queue semantics, and equivalence.
 
-Covers the ISSUE-7 and ISSUE-8 checklists: engine selection via
-``REPRO_SIM_ENGINE`` (including the batch engine's NumPy gate and
-fallback), unit tests of the calendar-queue scheduler's
-ordering/cancel/resume semantics, a randomized three-engine equivalence
-suite (seeded scenarios across routing modes and noise levels, asserting
-identical event counts, counter snapshots and message timelines — the flit
-analogue of ``tests/test_flow_solver.py``), byte-identical campaign
+Covers engine selection via ``REPRO_SIM_ENGINE`` (including the batch
+engine's NumPy gate and fallback), unit tests of the calendar-queue
+scheduler's ordering/cancel/resume semantics, a randomized three-engine
+equivalence suite (seeded scenarios across routing modes and noise levels,
+asserting identical event counts, counter snapshots and message timelines —
+the flit analogue of ``tests/test_flow_solver.py``), the pinned digest of
+the smoke noisy ping-pong under every engine, byte-identical campaign
 results across engines, the batch selector's vectorized wide-decision
 path, and the ``queue_depth`` gauge on ``Simulator.run`` telemetry spans.
 """
@@ -14,6 +14,7 @@ path, and the ``queue_depth`` gauge on ``Simulator.run`` telemetry spans.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import logging
@@ -25,6 +26,9 @@ from repro.campaign import ensure_builtin_scenarios
 from repro.campaign.executor import execute_spec
 from repro.campaign.plan import RunSpec
 from repro.config import SimulationConfig
+from repro.experiments.harness import ExperimentScale
+from repro.model import build_network_model
+from repro.mpi.job import MpiJob
 from repro.network.network import Network
 from repro.noise.background import BackgroundTraffic, NoiseLevel
 from repro.routing.modes import RoutingMode
@@ -41,6 +45,7 @@ from repro.sim.engine import (
 )
 from repro.telemetry import capture, disable, enable
 from repro.telemetry.log import reset_logging
+from repro.workloads.microbench import PingPongBenchmark
 
 HAS_NUMPY = importlib.util.find_spec("numpy") is not None
 
@@ -429,6 +434,57 @@ class TestEngineEquivalence:
         baseline = results["reference"]
         for engine, result in results.items():
             assert result == baseline, f"{engine} diverged from reference"
+
+
+class TestSmokePingPongDigest:
+    """Every engine reproduces the pinned smoke noisy ping-pong exactly.
+
+    The smoke-scale twin of the benchmark's ``flit-pingpong`` workload:
+    MODERATE noise between nodes 0 and last, a 16 KiB (scaled) ping-pong
+    with one warmup.  The digest covers everything observable from the
+    outside, so any change to the simulated behaviour moves it.
+    """
+
+    DIGEST = "5640dc0083c0bef7c8d901beb375e1749c755e1aa90dbeb244537b1a0d28f249"
+
+    @pytest.mark.parametrize("engine", SIM_ENGINE_KINDS)
+    def test_pinned_digest(self, monkeypatch, engine):
+        monkeypatch.setenv(SIM_ENGINE_ENV_VAR, engine)
+        scale = ExperimentScale.smoke()
+        network = build_network_model(scale.simulation_config().with_backend("flit"))
+        allocation = [0, network.num_nodes - 1]
+        noise = BackgroundTraffic.for_level(
+            network, allocation, NoiseLevel.MODERATE, name="bench-noise"
+        )
+        noise.start()
+        job = MpiJob(network, allocation, name="bench-flit")
+        result = PingPongBenchmark(
+            size_bytes=scale.scaled_size(16 * 1024),
+            iterations=scale.pingpong_repetitions,
+            warmup=1,
+        ).run(job)
+        noise.stop()
+        selector = network.selector
+        observable = {
+            "events": network.sim.events_executed,
+            "simulated_cycles": network.sim.now,
+            "iteration_times": list(result.iteration_times),
+            "counters": [
+                dataclasses.asdict(network.nic(node).counters.snapshot())
+                for node in allocation
+            ],
+            "decisions": [
+                selector.decisions,
+                selector.minimal_decisions,
+                selector.nonminimal_decisions,
+            ],
+        }
+        assert observable["events"] == 101_337
+        assert observable["simulated_cycles"] == 49_178
+        digest = hashlib.sha256(
+            json.dumps(observable, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == self.DIGEST
 
 
 class TestRunSpecStoreEquivalence:
