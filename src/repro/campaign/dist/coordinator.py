@@ -75,12 +75,6 @@ class DistOptions:
     preload: Optional[str] = None
     #: Extra environment for spawned workers (merged over the parent's).
     extra_env: Optional[Mapping[str, str]] = None
-    #: Simulation engine spawned workers run the flit backend on
-    #: (``None`` inherits the coordinator's environment).  Results are
-    #: engine-independent — the engines are event-for-event equivalent —
-    #: so this is a pure performance knob, but it must reach every worker
-    #: or part of the fleet silently runs slower than asked.
-    sim_engine: Optional[str] = None
     #: Enable network probes in spawned workers (same inheritance channel
     #: as telemetry: probes activate per-process at import time, so the
     #: request must travel through the worker environment).
@@ -95,14 +89,6 @@ class DistOptions:
             raise ValueError(
                 f"unknown transport {self.transport!r} (choose from {TRANSPORTS})"
             )
-        if self.sim_engine is not None:
-            from repro.sim.engine import SIM_ENGINE_KINDS
-
-            if self.sim_engine not in SIM_ENGINE_KINDS:
-                raise ValueError(
-                    f"unknown sim engine {self.sim_engine!r} "
-                    f"(choose from {SIM_ENGINE_KINDS})"
-                )
         if self.workers < 0 or (self.transport == "local" and self.workers < 1):
             raise ValueError("workers must be >= 1 (>= 0 for socket transport)")
         if self.lease_timeout_s <= 0 or self.heartbeat_s <= 0:
@@ -312,12 +298,6 @@ class Coordinator:
             # Telemetry is enabled per-process at import time; spawned
             # workers inherit the request through the environment.
             env[TELEMETRY_ENV_VAR] = "1"
-        if self.options.sim_engine is not None:
-            # Same inheritance channel as telemetry: the worker reads the
-            # engine from its environment when it builds each Network.
-            from repro.sim.engine import SIM_ENGINE_ENV_VAR
-
-            env[SIM_ENGINE_ENV_VAR] = self.options.sim_engine
         if self.options.probes:
             from repro.telemetry.probes import (
                 PROBE_DECISION_RATE_ENV_VAR,

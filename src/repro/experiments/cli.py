@@ -278,17 +278,6 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         help="fraction of UGAL decisions to audit, in [0, 1] "
         "(default: 0.02; requires --probes)",
     )
-    from repro.sim.engine import SIM_ENGINE_KINDS
-
-    run.add_argument(
-        "--sim-engine",
-        choices=SIM_ENGINE_KINDS,
-        default=None,
-        help="flit-backend simulation engine (default: REPRO_SIM_ENGINE or "
-        "'calendar'); engines are event-for-event equivalent, so results "
-        "and cache keys do not change — this is a performance knob; "
-        "propagates to pool and distributed workers via REPRO_SIM_ENGINE",
-    )
 
     lst = sub.add_parser("list", help="list registered scenarios")
     lst.add_argument("--tag", default=None, help="only scenarios with this tag")
@@ -808,13 +797,6 @@ def campaign_main(argv: Optional[Sequence[str]] = None) -> int:
         enable_probes(
             interval=args.probe_interval, decision_rate=args.probe_decision_rate
         )
-    if args.sim_engine is not None:
-        # Same propagation story as --trace: the environment covers this
-        # process and forked pool workers; DistOptions.sim_engine (below)
-        # re-asserts it for spawned dist workers.
-        from repro.sim.engine import SIM_ENGINE_ENV_VAR
-
-        os.environ[SIM_ENGINE_ENV_VAR] = args.sim_engine
     store = None if args.no_store else ArtifactStore(args.store)
     # Audits alone need no router — they sample the plan at execute time.
     router = None
@@ -905,7 +887,6 @@ def campaign_main(argv: Optional[Sequence[str]] = None) -> int:
                 bind_host=host,
                 bind_port=port,
                 lease_timeout_s=args.lease_timeout,
-                sim_engine=args.sim_engine,
                 probes=args.probes,
                 probe_interval=args.probe_interval,
                 probe_decision_rate=args.probe_decision_rate,

@@ -27,7 +27,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, Mapping
+from typing import ClassVar, Mapping
 
 
 @dataclass(frozen=True)
@@ -100,25 +100,12 @@ class FlitCostModel(CostModel):
 
     backend_name = "flit"
 
-    #: Work units charged per *predicted* event, by simulation engine.  The
-    #: prediction below (flits x hops) tracks the pre-coalescing engine;
-    #: since the event-coalesced credit flow and calendar scheduler, the
-    #: smoke noisy 16 KiB ping-pong runs 101,337 events instead of 168,438
-    #: (1.66x fewer) and finishes ~1.6x faster end to end, so each predicted
-    #: unit is re-weighted accordingly.  The batch engine runs the same events
-    #: through the fused network plane faster than calendar (1.03x by min
-    #: CPU of 7 interleaved runs, 1.08x in one wall-clock sample), so a run
-    #: that selects it is charged less — ``backend="auto"`` routing and
-    #: ``--budget`` admission then reflect the engine the run will really
-    #: use.  ``reference`` shares the calendar weight: its ~7% scheduler
-    #: overhead is below the noise floor of these planning proxies.
-    engine_unit_cost: ClassVar[Dict[str, float]] = {
-        "calendar": 0.6,
-        "reference": 0.6,
-        "batch": 0.55,
-    }
-
-    #: Backward-compatible default weight (the default engine's).
+    #: Work units charged per *predicted* event.  The prediction below
+    #: (flits x hops) tracks the pre-coalescing link layer; since the
+    #: event-coalesced credit flow and calendar scheduler, the smoke noisy
+    #: 16 KiB ping-pong runs 101,337 events instead of 168,438 (1.66x
+    #: fewer) and finishes ~1.6x faster end to end, so each predicted unit
+    #: is re-weighted accordingly.
     unit_cost: ClassVar[float] = 0.6
 
     #: Response-path events relative to request-path events (single-flit
@@ -126,23 +113,18 @@ class FlitCostModel(CostModel):
     response_factor: ClassVar[float] = 0.25
 
     def estimate_cost(self, profile: WorkloadProfile) -> CostEstimate:
-        from repro.sim.engine import effective_engine_kind
-
-        unit_cost = self.engine_unit_cost.get(
-            effective_engine_kind(), self.unit_cost
-        )
         hops = profile.avg_hops + 2.0  # + injection and ejection NIC links
         request_events = profile.messages * profile.flits_per_message * hops
         events = request_events * (1.0 + self.response_factor)
         return CostEstimate(
             backend=self.backend_name,
-            work=events * unit_cost,
+            work=events * self.unit_cost,
             detail={
                 "events": events,
                 "hops": hops,
                 "messages": profile.messages,
                 "flits_per_message": profile.flits_per_message,
-                "unit_cost": unit_cost,
+                "unit_cost": self.unit_cost,
             },
         )
 

@@ -5,18 +5,18 @@ directly; it talks to an *engine* that owns the active flow set and decides
 how much work each re-solve actually performs.  Two implementations share
 the same API:
 
-``reference``
-    Pure-Python dict arithmetic (:class:`ReferenceFairShareEngine` wrapping
-    :class:`~repro.model.flow.solver.FairShareSolver`).  Every ``solve()``
-    recomputes every flow from scratch.  Kept as the executable
-    specification the vectorized engine is property-tested against, and as
-    the fallback when NumPy is unavailable.
-
-``vectorized``
+``vectorized`` (the default, :func:`default_engine_kind`)
     :class:`~repro.model.flow.vectorized.VectorizedFairShareEngine` — flat
     NumPy arrays (CSR-style flow x link incidence, dense per-link capacity
     vector) plus *incremental* re-solves that only touch the connected
     component of the flow/link sharing graph whose membership changed.
+
+``reference``
+    Pure-Python dict arithmetic (:class:`ReferenceFairShareEngine` wrapping
+    :class:`~repro.model.flow.solver.FairShareSolver`).  Every ``solve()``
+    recomputes every flow from scratch.  Kept as the executable
+    specification the vectorized engine is property-tested against; only
+    ``FlowNetwork(solver="reference")`` selects it.
 
 Engine API (duck-typed; both classes implement it):
 
@@ -38,45 +38,21 @@ Engine API (duck-typed; both classes implement it):
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, Iterator, List
 
 from repro.model.flow.solver import EPS, FairShareSolver, FlowState
 
-#: Environment variable overriding the flow-solver engine selection.
-SOLVER_ENV_VAR = "REPRO_FLOW_SOLVER"
-
-#: Engine names accepted by :func:`make_engine` / the env override.
+#: Engine names accepted by :func:`make_engine`.
 ENGINE_KINDS = ("reference", "vectorized")
 
 
 class SolverEngineError(RuntimeError):
-    """Unknown engine kind, or an engine whose dependencies are missing."""
-
-
-def _numpy_available() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - exercised only without numpy
-        return False
-    return True
+    """Unknown engine kind."""
 
 
 def default_engine_kind() -> str:
-    """The engine used when none is requested explicitly.
-
-    ``REPRO_FLOW_SOLVER`` wins when set; otherwise ``vectorized`` whenever
-    NumPy imports, falling back to the pure-Python reference engine.
-    """
-    requested = os.environ.get(SOLVER_ENV_VAR, "").strip().lower()
-    if requested:
-        if requested not in ENGINE_KINDS:
-            raise SolverEngineError(
-                f"{SOLVER_ENV_VAR}={requested!r} is not a known flow-solver "
-                f"engine (known: {', '.join(ENGINE_KINDS)})"
-            )
-        return requested
-    return "vectorized" if _numpy_available() else "reference"
+    """The engine a :class:`FlowNetwork` uses when none is requested."""
+    return "vectorized"
 
 
 def make_engine(kind: str, capacity_of: Callable[[object], float]):
@@ -84,11 +60,6 @@ def make_engine(kind: str, capacity_of: Callable[[object], float]):
     if kind == "reference":
         return ReferenceFairShareEngine(capacity_of)
     if kind == "vectorized":
-        if not _numpy_available():  # pragma: no cover - env dependent
-            raise SolverEngineError(
-                "the vectorized flow-solver engine requires numpy; install it "
-                "or select REPRO_FLOW_SOLVER=reference"
-            )
         from repro.model.flow.vectorized import VectorizedFairShareEngine
 
         return VectorizedFairShareEngine(capacity_of)
@@ -185,7 +156,6 @@ __all__ = [
     "ENGINE_KINDS",
     "EPS",
     "ReferenceFairShareEngine",
-    "SOLVER_ENV_VAR",
     "SolverEngineError",
     "default_engine_kind",
     "make_engine",

@@ -49,7 +49,8 @@ from repro.network.counters import CounterSnapshot, NicCounters
 from repro.network.packet import Message, RdmaOp
 from repro.routing.bias import bias_for_mode
 from repro.routing.modes import RoutingMode
-from repro.sim.engine import Event, Simulator, make_simulator
+from repro.sim.calendar import CalendarSimulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.rng import RandomStreams
 from repro.telemetry.core import TELEMETRY
 from repro.telemetry.probes import PROBES, ProbeRecorder, ProbeSampler
@@ -278,7 +279,7 @@ class FlowNetwork(NetworkModel):
         solver: Optional[str] = None,
     ):
         self.config = config or SimulationConfig()
-        self.sim = sim or make_simulator()
+        self.sim = sim or CalendarSimulator()
         self.streams = streams or RandomStreams(self.config.seed)
         self.topology = DragonflyTopology(self.config.topology)
         self.sampler = PathSampler(self.topology, self.streams.stream("routing"))
@@ -295,8 +296,8 @@ class FlowNetwork(NetworkModel):
 
         # -- fluid engine state ------------------------------------------------
         #: Solver engine resolving the global flow set: ``vectorized``
-        #: (NumPy, incremental — the default when NumPy is available) or
-        #: ``reference`` (pure Python); see :mod:`repro.model.flow.engine`.
+        #: (NumPy, incremental — the default) or ``reference`` (pure
+        #: Python, the test oracle); see :mod:`repro.model.flow.engine`.
         self._solver_kind = solver if solver is not None else default_engine_kind()
         self._engine = make_engine(self._solver_kind, self._capacity_of)
         #: Small reference solver for the per-message solo solve in

@@ -24,8 +24,9 @@ from repro.network.nic import Nic
 from repro.network.packet import Message, Packet, RdmaOp
 from repro.network.router import Router
 from repro.routing.modes import RoutingMode
-from repro.routing.ugal import BatchUgalSelector, UgalSelector
-from repro.sim.engine import Simulator, make_simulator
+from repro.routing.ugal import UgalSelector
+from repro.sim.calendar import CalendarSimulator
+from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.telemetry.core import TELEMETRY
 from repro.telemetry.probes import PROBES, ProbeRecorder, ProbeSampler
@@ -34,13 +35,13 @@ from repro.topology.geometry import router_of_node
 
 
 class FlitLinkSampler(ProbeSampler):
-    """Fixed-interval link/NIC probe for the flit backend (all engines).
+    """Fixed-interval link/NIC probe for the flit backend.
 
-    Polled via the simulator's ``probe_hook`` slot, so it works identically
-    under the reference, calendar and batch engines.  It only *reads* link
-    state — through :meth:`Link.occupancy_view`, which never settles
-    credits — and never schedules events, keeping traced and untraced
-    event streams (and payloads) byte-identical.
+    Polled via the simulator's ``probe_hook`` slot, which the heap and
+    calendar schedulers both honour.  It only *reads* link state —
+    through :meth:`Link.occupancy_view`, which never settles credits — and
+    never schedules events, keeping traced and untraced event streams (and
+    payloads) byte-identical.
 
     Series schema (shared verbatim with the flow backend's sampler):
     ``occupancy``/``queue``/``stalled_links`` per link class
@@ -113,24 +114,9 @@ class Network(NetworkModel):
         streams: Optional[RandomStreams] = None,
     ):
         self.config = config or SimulationConfig()
-        self.sim = sim or make_simulator()
+        self.sim = sim or CalendarSimulator()
         self.streams = streams or RandomStreams(self.config.seed)
         self.topology = DragonflyTopology(self.config.topology)
-
-        # The batch engine swaps the *network plane*, not the scheduler:
-        # links become BatchLinks running the fused handlers, and the
-        # selector gains the fused probe + vectorized candidate scorer.
-        # Semantics (and therefore results) are identical per the parity
-        # contract in repro.network.batch_core.
-        self._batch = getattr(self.sim, "engine_kind", None) == "batch"
-        if self._batch:
-            from repro.network.batch_core import BatchLink
-
-            self._link_cls = BatchLink
-            selector_cls = BatchUgalSelector
-        else:
-            self._link_cls = Link
-            selector_cls = UgalSelector
 
         self.routers: List[Router] = [
             Router(rid) for rid in range(self.topology.num_routers)
@@ -144,7 +130,7 @@ class Network(NetworkModel):
         self._build_fabric()
         self._build_hosts()
 
-        self.selector = selector_cls(
+        self.selector = UgalSelector(
             self.topology,
             self.config.routing,
             self.streams.stream("routing"),
@@ -160,8 +146,8 @@ class Network(NetworkModel):
         self.delivered_messages: int = 0
 
         # Install the link probe last so it sees the fully wired system.
-        # When probes are off the hook stays None and the engines pay one
-        # ``is not None`` check per event (reference) or bucket (calendar).
+        # When probes are off the hook stays None and the scheduler pays one
+        # ``is not None`` check per bucket (calendar) or event (heap).
         if PROBES.enabled and PROBES.recorder is not None:
             self.sim.probe_hook = FlitLinkSampler(PROBES.recorder, self)
 
@@ -187,7 +173,7 @@ class Network(NetworkModel):
         for link_id in self.topology.all_links():
             kind = link_id.kind
             latency = self.topology.link_latency(kind)
-            link = self._link_cls(
+            link = Link(
                 sim=self.sim,
                 name=link_id.label(topo_cfg),
                 latency=latency,
@@ -197,8 +183,6 @@ class Network(NetworkModel):
                 deliver=self.routers[link_id.dst].packet_arrived,
                 track_occupancy=track_occupancy,
             )
-            if self._batch:
-                link.bind_router(self.routers[link_id.dst])
             self._links[(link_id.src, link_id.dst)] = link
             self.routers[link_id.src].attach_output(link_id.dst, link)
 
@@ -210,7 +194,7 @@ class Network(NetworkModel):
             router = self.routers[router_id]
             nic = Nic(node_id, router_id, self.sim, nic_cfg, self)
             # NIC -> router (injection) link; stalls here feed the NIC counter.
-            injection = self._link_cls(
+            injection = Link(
                 sim=self.sim,
                 name=f"nic{node_id}->r{router_id}",
                 latency=topo_cfg.host_link_latency,
@@ -229,7 +213,7 @@ class Network(NetworkModel):
             )
             injection.on_transmit = self.assign_path
             # router -> NIC (ejection) link.
-            ejection = self._link_cls(
+            ejection = Link(
                 sim=self.sim,
                 name=f"r{router_id}->nic{node_id}",
                 latency=topo_cfg.host_link_latency,
@@ -241,9 +225,6 @@ class Network(NetworkModel):
                 deliver=nic.packet_ejected,
                 track_occupancy=False,
             )
-            if self._batch:
-                injection.bind_router(router)
-                ejection.bind_nic(nic)
             nic.injection_link = injection
             router.attach_ejection(node_id, ejection)
             self.nics.append(nic)

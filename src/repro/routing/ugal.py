@@ -18,7 +18,7 @@ the scoring entirely.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.config import RoutingConfig
 from repro.routing.bias import bias_for_mode
@@ -321,71 +321,6 @@ class UgalSelector:
         })
         return PathDecision(paths[best_idx], best_minimal, best_score, len(paths))
 
-    # -- batch scoring entry point ----------------------------------------------
-
-    def score_candidates(
-        self,
-        minimal_paths: Sequence[Path],
-        nonminimal_paths: Sequence[Path],
-        mode: RoutingMode,
-        src_router: int,
-        dst_router: int,
-    ):
-        """Vectorized congestion scores for one decision's candidate set.
-
-        Returns ``(scores, best_index, best_minimal)`` where ``scores`` is a
-        float64 NumPy array over ``minimal_paths + nonminimal_paths`` (in
-        that order), non-minimal entries already carry the mode's penalty
-        and bias (from :func:`repro.routing.bias.bias_for_mode`), and
-        ``best_index``/``best_minimal`` reproduce the scalar selection rule
-        exactly: NumPy's first-minimum ``argmin`` over minimal-first
-        ordering is the same tie-break as "only a strictly better score
-        displaces the running best", so minimal candidates win ties.
-
-        The per-candidate quantities are the same IEEE-754 operations as
-        :meth:`_path_score`, so scores (and therefore decisions) are
-        bit-identical to the scalar loop.  Requires NumPy.
-        """
-        import numpy as np
-
-        minimal_paths = list(minimal_paths)
-        nonminimal_paths = list(nonminimal_paths)
-        paths = minimal_paths + nonminimal_paths
-        if not paths:
-            raise ValueError("no candidate paths to score")
-        n = len(paths)
-        n_min = len(minimal_paths)
-        hops = np.empty(n)
-        congestion = np.empty(n)
-        links = self.links
-        probe = self.link_probe
-        delay = self._info_delay
-        far_weight = self._far_weight
-        for i, path in enumerate(paths):
-            path_hops = len(path) - 1
-            hops[i] = path_hops
-            if path_hops <= 0:
-                congestion[i] = 0.0
-                continue
-            if links is not None:
-                link = links[(path[0], path[1])]
-            elif probe is not None:
-                link = probe(path[0], path[1])
-            else:
-                congestion[i] = 0.0
-                continue
-            if delay <= 0:
-                far = float(link.capacity - link.credits)
-            else:
-                far = link.far_congestion(delay)
-            congestion[i] = link.queue_flits + far_weight * far
-        scores = congestion * hops + hops
-        if n_min < n:
-            bias = self._bias_for(mode, src_router, dst_router)
-            scores[n_min:] = scores[n_min:] * self.config.nonminimal_penalty + bias
-        best = int(scores.argmin())
-        return scores, best, best < n_min
-
     def _record(self, decision: PathDecision) -> PathDecision:
         self.decisions += 1
         if decision.minimal:
@@ -409,207 +344,3 @@ class UgalSelector:
         self.minimal_decisions = 0
         self.nonminimal_decisions = 0
 
-
-#: Candidate count at or above which the batch selector scores a decision
-#: through the vectorized entry point.  At the default 2+2 candidates NumPy
-#: dispatch overhead exceeds the arithmetic saved, so small decisions stay
-#: on the scalar loop; wider configured candidate sets amortize it.
-VECTORIZE_MIN_CANDIDATES = 8
-
-
-class BatchUgalSelector(UgalSelector):
-    """The ``batch`` engine's selector: fused probe, vectorized wide scoring.
-
-    Decision-for-decision identical to :class:`UgalSelector` — candidate
-    sampling (and therefore RNG consumption), scores and tie-breaks all
-    match exactly:
-
-    * :meth:`_path_score` inlines the link congestion probe (the
-      ``far_congestion`` property/method dispatch chain) into one frame;
-    * adaptive decisions with at least :data:`VECTORIZE_MIN_CANDIDATES`
-      candidates are scored through :meth:`UgalSelector.score_candidates`
-      (sampling all candidates first consumes the RNG in the same order as
-      the interleaved scalar loop, since scoring draws nothing).
-    """
-
-    def _path_score(self, path: Path) -> float:
-        # UgalSelector._path_score with Link.far_congestion inlined.
-        hops = len(path) - 1
-        if hops <= 0:
-            return 0.0
-        links = self.links
-        if links is not None:
-            link = links[(path[0], path[1])]
-        elif self.link_probe is not None:
-            link = self.link_probe(path[0], path[1])
-        else:
-            return float(hops)
-        delay = self._info_delay
-        if delay <= 0:
-            far = float(link.capacity - link.credits)
-        else:
-            now = link.sim._now
-            arrivals = link._credit_arrivals
-            if arrivals and arrivals[0][0] <= now:
-                link._settle_credits(now)
-            horizon = now - delay
-            hist = link._occ_history
-            if hist and hist[0][0] <= horizon:
-                value = link._occ_delayed_value
-                popleft = hist.popleft
-                while hist and hist[0][0] <= horizon:
-                    value = popleft()[1]
-                link._occ_delayed_value = value
-            far = float(link._occ_delayed_value)
-        port_congestion = link.queue_flits + self._far_weight * far
-        return port_congestion * hops + hops
-
-    def select(
-        self, src_router: int, dst_router: int, mode: RoutingMode
-    ) -> PathDecision:
-        # Deterministic modes, same-router sends and probe-less selectors are
-        # off the per-packet hot path; only fuse the adaptive scalar loop.
-        if (
-            not mode.is_adaptive
-            or src_router == dst_router
-            or self.links is None
-        ):
-            return super().select(src_router, dst_router, mode)
-        if PROBES.enabled:
-            recorder = PROBES.recorder
-            if recorder is not None and recorder.want_decision():
-                # The audited scalar path reuses far_congestion(), which the
-                # fused loops inline bit-identically, so routing one sampled
-                # decision through it cannot change the decision stream.
-                decision = self._select_audited(
-                    src_router, dst_router, mode, recorder
-                )
-                self.decisions += 1
-                if decision.minimal:
-                    self.minimal_decisions += 1
-                else:
-                    self.nonminimal_decisions += 1
-                return decision
-        cfg = self.config
-        minimal_candidates = cfg.minimal_candidates
-        nonminimal_candidates = cfg.nonminimal_candidates
-        total = minimal_candidates + nonminimal_candidates
-        if total >= VECTORIZE_MIN_CANDIDATES:
-            decision = self._select_vectorized(src_router, dst_router, mode)
-        else:
-            # UgalSelector._select_adaptive with _path_score and the
-            # far-congestion probe inlined into the candidate loops.
-            if mode is RoutingMode.ADAPTIVE_0:
-                bias = 0.0
-            else:
-                bias = self._bias_for(mode, src_router, dst_router)
-            sampler = self.sampler
-            links = self.links
-            delay = self._info_delay
-            far_weight = self._far_weight
-            sample_minimal = sampler.minimal
-            best_path: Optional[Path] = None
-            best_score = 0.0
-            best_minimal = True
-            prev_path: Optional[Path] = None
-            prev_score = 0.0
-            for _ in range(minimal_candidates):
-                path = sample_minimal(src_router, dst_router)
-                if path is prev_path:
-                    score = prev_score
-                else:
-                    hops = len(path) - 1
-                    if hops <= 0:
-                        score = 0.0
-                    else:
-                        link = links[(path[0], path[1])]
-                        if delay <= 0:
-                            far = float(link.capacity - link.credits)
-                        else:
-                            now = link.sim._now
-                            arrivals = link._credit_arrivals
-                            if arrivals and arrivals[0][0] <= now:
-                                link._settle_credits(now)
-                            horizon = now - delay
-                            hist = link._occ_history
-                            if hist and hist[0][0] <= horizon:
-                                value = link._occ_delayed_value
-                                popleft = hist.popleft
-                                while hist and hist[0][0] <= horizon:
-                                    value = popleft()[1]
-                                link._occ_delayed_value = value
-                            far = float(link._occ_delayed_value)
-                        score = (
-                            link.queue_flits + far_weight * far
-                        ) * hops + hops
-                    prev_path = path
-                    prev_score = score
-                if best_path is None or score < best_score:
-                    best_score = score
-                    best_path = path
-            penalty = cfg.nonminimal_penalty
-            sample_nonminimal = sampler.nonminimal
-            for _ in range(nonminimal_candidates):
-                path = sample_nonminimal(src_router, dst_router)
-                hops = len(path) - 1
-                if hops <= 0:
-                    score = 0.0
-                else:
-                    link = links[(path[0], path[1])]
-                    if delay <= 0:
-                        far = float(link.capacity - link.credits)
-                    else:
-                        now = link.sim._now
-                        arrivals = link._credit_arrivals
-                        if arrivals and arrivals[0][0] <= now:
-                            link._settle_credits(now)
-                        horizon = now - delay
-                        hist = link._occ_history
-                        if hist and hist[0][0] <= horizon:
-                            value = link._occ_delayed_value
-                            popleft = hist.popleft
-                            while hist and hist[0][0] <= horizon:
-                                value = popleft()[1]
-                            link._occ_delayed_value = value
-                        far = float(link._occ_delayed_value)
-                    score = (link.queue_flits + far_weight * far) * hops + hops
-                score = score * penalty + bias
-                if best_path is None or score < best_score:
-                    best_score = score
-                    best_path = path
-                    best_minimal = False
-            assert best_path is not None
-            decision = PathDecision(best_path, best_minimal, best_score, total)
-        self.decisions += 1
-        if decision.minimal:
-            self.minimal_decisions += 1
-        else:
-            self.nonminimal_decisions += 1
-        return decision
-
-    def _select_vectorized(
-        self, src_router: int, dst_router: int, mode: RoutingMode
-    ) -> PathDecision:
-        """Wide adaptive decisions go through the NumPy scoring entry point.
-
-        Sampling all candidates before scoring consumes the RNG in the same
-        order as the interleaved scalar loop (scoring draws nothing), so the
-        decision stream is identical.
-        """
-        cfg = self.config
-        sampler = self.sampler
-        minimal_paths = [
-            sampler.minimal(src_router, dst_router)
-            for _ in range(cfg.minimal_candidates)
-        ]
-        nonminimal_paths = [
-            sampler.nonminimal(src_router, dst_router)
-            for _ in range(cfg.nonminimal_candidates)
-        ]
-        scores, best, best_minimal = self.score_candidates(
-            minimal_paths, nonminimal_paths, mode, src_router, dst_router
-        )
-        paths = minimal_paths + nonminimal_paths
-        return PathDecision(
-            paths[best], best_minimal, float(scores[best]), len(paths)
-        )

@@ -1,50 +1,27 @@
-"""Discrete-event simulation engines used by the network model.
+"""Discrete-event simulation engine used by the network models.
 
-Three interchangeable engines implement the same (time, scheduling-order)
-execution contract with callback-style events:
+Every network model schedules its work on
+:class:`~repro.sim.calendar.CalendarSimulator`: per-cycle FIFO buckets
+with a heap of distinct times, so a flit simulation, which lands whole
+groups of callbacks on the same cycle, does one heap operation per *time*
+instead of per event.  Its base class :class:`~repro.sim.engine.Simulator`
+is a plain binary-heap queue keyed by (time, sequence number) with the
+same execution contract; tests use it as the ordering oracle, and
+``Network(config, sim=...)`` accepts either.
 
-* ``reference`` — the original binary-heap queue keyed by (time, sequence
-  number), kept as the parity baseline;
-* ``calendar`` — per-cycle FIFO buckets with a heap of distinct times,
-  the default (a flit simulation lands whole groups of callbacks on the
-  same cycle, so this does one heap operation per *time* instead of per
-  event);
-* ``batch`` — the calendar scheduler plus a fused network fast path
-  (NumPy-precomputed serialization tables, one-frame-per-hop link/router/
-  NIC handlers, vectorized UGAL candidate scoring); requires NumPy and
-  falls back to ``calendar`` with a warning when it is missing.
-
-Select with ``REPRO_SIM_ENGINE=reference|calendar|batch`` or
-:func:`make_simulator`.  Everything in the network model (link traversal,
-credit returns, NIC injection) is expressed as scheduled callbacks, which
-keeps the per-event overhead low — important because a single
-large-message experiment schedules hundreds of thousands of events.
+Everything in the network model (link traversal, credit returns, NIC
+injection) is expressed as scheduled callbacks, which keeps the per-event
+overhead low — important because a single large-message experiment
+schedules hundreds of thousands of events.
 """
 
-from repro.sim.batch import BatchSimulator
 from repro.sim.calendar import CalendarSimulator
-from repro.sim.engine import (
-    SIM_ENGINE_ENV_VAR,
-    SIM_ENGINE_KINDS,
-    Event,
-    SimEngineError,
-    Simulator,
-    default_engine_kind,
-    effective_engine_kind,
-    make_simulator,
-)
+from repro.sim.engine import Event, Simulator
 from repro.sim.rng import RandomStreams
 
 __all__ = [
     "Event",
     "Simulator",
     "CalendarSimulator",
-    "BatchSimulator",
     "RandomStreams",
-    "SIM_ENGINE_ENV_VAR",
-    "SIM_ENGINE_KINDS",
-    "SimEngineError",
-    "default_engine_kind",
-    "effective_engine_kind",
-    "make_simulator",
 ]

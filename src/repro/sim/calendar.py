@@ -1,7 +1,8 @@
-"""Calendar-queue (bucketed) event engine.
+"""Calendar-queue (bucketed) event engine: the one every network model runs on.
 
-The reference engine keeps one binary heap entry per event, so every
-schedule/execute pays an O(log n) sift over ``[time, seq, fn, args]`` lists.
+The heap engine it derives from (:class:`~repro.sim.engine.Simulator`)
+keeps one binary heap entry per event, so every schedule/execute pays an
+O(log n) sift over ``[time, seq, fn, args]`` lists.
 Flit simulations schedule huge numbers of events at a small set of *distinct*
 times, though — serialization boundaries, wire latencies and coalesced credit
 returns all land whole groups of callbacks on the same cycle.  This engine
@@ -15,7 +16,7 @@ the callback slot in place.
 
 Ordering contract
 -----------------
-The reference engine executes events in (time, sequence) order, where the
+The heap engine executes events in (time, sequence) order, where the
 sequence number increases monotonically with each ``schedule`` call.  Bucket
 appends happen in exactly that call order, so FIFO-per-bucket reproduces the
 contract precisely — including callbacks that schedule zero-delay work while
@@ -84,12 +85,10 @@ class BucketEvent:
 class CalendarSimulator(Simulator):
     """Drop-in replacement for :class:`~repro.sim.engine.Simulator`.
 
-    Executes the exact same event order as the reference engine (see module
+    Executes the exact same event order as the heap engine (see module
     docstring) while doing one heap operation per distinct event *time*
     instead of per event.
     """
-
-    engine_kind = "calendar"
 
     def __init__(self) -> None:
         super().__init__()
@@ -154,7 +153,7 @@ class CalendarSimulator(Simulator):
 
         The bucket stays registered in ``_buckets`` while it drains so that
         zero-delay schedules from its own callbacks append to it (and run in
-        the same pass), matching the reference engine.
+        the same pass), matching the heap engine.
         """
         times = self._times
         while True:

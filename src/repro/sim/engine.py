@@ -12,33 +12,22 @@ slot.  :class:`Event` is a thin handle wrapping such an entry.
 A live-event counter is maintained on schedule/cancel/execute so that
 :meth:`Simulator.empty` is O(1) instead of scanning the heap (which may
 hold arbitrarily many cancelled entries) on every call.
+
+Network models run on the bucketed subclass
+:class:`~repro.sim.calendar.CalendarSimulator`; this heap engine is its
+base class and the executable specification its tests compare against.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Any, Callable, List, Optional
 
 from repro.telemetry.core import TELEMETRY
 
-#: Environment variable selecting the event-engine implementation.
-SIM_ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
-
-#: Known engine kinds, in preference order.  ``reference`` is the original
-#: binary-heap engine kept for parity testing; ``calendar`` is the bucketed
-#: calendar-queue engine that the flit backend uses by default; ``batch``
-#: is the calendar scheduler plus the fused/NumPy network fast path (see
-#: :mod:`repro.sim.batch`), requiring NumPy.
-SIM_ENGINE_KINDS = ("calendar", "reference", "batch")
-
 
 class SimulationError(RuntimeError):
     """Raised when the simulation is driven into an invalid state."""
-
-
-class SimEngineError(RuntimeError):
-    """Raised when an unknown simulation engine is requested."""
 
 
 class Event:
@@ -94,9 +83,6 @@ class Simulator:
     >>> sim.now
     10
     """
-
-    #: Which engine implementation this is (see :func:`make_simulator`).
-    engine_kind = "reference"
 
     def __init__(self) -> None:
         self._now: int = 0
@@ -303,90 +289,13 @@ class Simulator:
         self._stop_requested = False
 
 
-# -- engine selection ---------------------------------------------------------
+# -- engine identity ----------------------------------------------------------
 
 
-def default_engine_kind() -> str:
-    """The engine kind to use when none is requested explicitly.
+def effective_engine_kind() -> str:
+    """Name of the event engine every network model runs on.
 
-    ``REPRO_SIM_ENGINE`` overrides the built-in default (``calendar``); an
-    unknown value raises :class:`SimEngineError` rather than silently falling
-    back, so typos in CI configs are caught immediately.
+    Always ``"calendar"`` (see the module docstring); benchmark
+    fingerprints record it.
     """
-    requested = os.environ.get(SIM_ENGINE_ENV_VAR, "").strip().lower()
-    if requested:
-        if requested not in SIM_ENGINE_KINDS:
-            raise SimEngineError(
-                f"unknown simulation engine {requested!r} (from "
-                f"{SIM_ENGINE_ENV_VAR}); known engines: {', '.join(SIM_ENGINE_KINDS)}"
-            )
-        return requested
     return "calendar"
-
-
-def _numpy_available() -> bool:
-    """True when NumPy can be imported (the batch engine requires it)."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def effective_engine_kind(kind: Optional[str] = None) -> str:
-    """Resolve ``kind`` (default: env/built-in) to the engine actually used.
-
-    The only adjustment is the NumPy gate: a ``batch`` request degrades to
-    ``calendar`` when NumPy is unavailable, exactly as
-    :func:`make_simulator` will.  Cost models use this so planning reflects
-    the engine a run will really execute on.
-    """
-    if kind is None:
-        kind = default_engine_kind()
-    if kind == "batch" and not _numpy_available():
-        return "calendar"
-    return kind
-
-
-def make_simulator(kind: Optional[str] = None) -> Simulator:
-    """Build a simulator of the requested (or default) engine kind.
-
-    All engines honour the exact same (time, scheduling-order) execution
-    contract, so they are interchangeable; ``reference`` is kept as the
-    parity baseline for the equivalence suite in ``tests/test_flit_engine.py``.
-    The ``batch`` engine requires NumPy and falls back to ``calendar`` with
-    a structured-log warning when it is missing (same idiom as the
-    ``REPRO_FLOW_SOLVER`` vectorized/reference fallback).
-    """
-    if kind is None:
-        kind = default_engine_kind()
-    if kind == "reference":
-        return Simulator()
-    if kind == "calendar":
-        from repro.sim.calendar import CalendarSimulator
-
-        return CalendarSimulator()
-    if kind == "batch":
-        if not _numpy_available():
-            import logging
-
-            from repro.telemetry.log import get_logger, log_event
-
-            log_event(
-                get_logger("sim.engine"),
-                "sim.engine.fallback",
-                level=logging.WARNING,
-                requested="batch",
-                selected="calendar",
-                reason="numpy-unavailable",
-            )
-            from repro.sim.calendar import CalendarSimulator
-
-            return CalendarSimulator()
-        from repro.sim.batch import BatchSimulator
-
-        return BatchSimulator()
-    raise SimEngineError(
-        f"unknown simulation engine {kind!r}; known engines: "
-        f"{', '.join(SIM_ENGINE_KINDS)}"
-    )

@@ -49,7 +49,7 @@ def small_network(small_config) -> Network:
 
 @pytest.fixture
 def simulator() -> Simulator:
-    """A fresh simulator."""
+    """A fresh heap simulator (the calendar engine's base class)."""
     return Simulator()
 
 

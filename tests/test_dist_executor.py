@@ -341,80 +341,6 @@ class TestResultBatching:
             loop.close()
 
 
-# -- simulation-engine propagation --------------------------------------------------
-
-class TestSimEnginePropagation:
-    """DistOptions.sim_engine reaches spawned workers via the environment.
-
-    Mirrors the REPRO_TELEMETRY inheritance: the coordinator asserts the
-    engine into each worker's environment, and the worker's Network builds
-    pick it up per cell.  Byte-equality of the store under a non-default
-    engine is asserted end to end below — but note that equality alone
-    cannot catch a propagation bug (the engines are event-for-event
-    equivalent, so the bytes match either way), which is why the
-    environment handoff itself is pinned first.
-    """
-
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError, match="sim engine"):
-            DistOptions(sim_engine="warp-drive")
-
-    def test_worker_env_carries_engine(self):
-        from repro.sim.engine import SIM_ENGINE_ENV_VAR
-
-        coordinator = Coordinator(
-            _sleepy_plan(1), options=_options(workers=1, sim_engine="batch")
-        )
-        assert coordinator._worker_env()[SIM_ENGINE_ENV_VAR] == "batch"
-        plain = Coordinator(_sleepy_plan(1), options=_options(workers=1))
-        env = plain._worker_env()
-        # No explicit engine: the worker inherits the coordinator's choice.
-        assert env.get(SIM_ENGINE_ENV_VAR) == os.environ.get(SIM_ENGINE_ENV_VAR)
-
-    def test_cli_sets_engine_environment(self, tmp_path, monkeypatch, capsys):
-        from repro.sim.engine import SIM_ENGINE_ENV_VAR
-
-        # monkeypatch snapshots the (absent) variable and restores it at
-        # teardown even though the CLI itself mutates os.environ.
-        monkeypatch.delenv(SIM_ENGINE_ENV_VAR, raising=False)
-        code = campaign_main(
-            [
-                "run", "pingpong-placement",
-                "--dry-run",
-                "--sim-engine", "batch",
-                "--store", str(tmp_path / "store"),
-            ]
-        )
-        assert code == 0
-        assert os.environ.get(SIM_ENGINE_ENV_VAR) == "batch"
-
-    def test_store_bytes_identical_under_batch_engine(self, tmp_path):
-        """A real flit cell run distributed under batch matches the default.
-
-        Uses an actual network scenario (the sleepy scenarios never build a
-        Network, so they would exercise nothing): one pingpong-placement
-        cell, executed twice through real spawned workers.
-        """
-        spec = RunSpec.make(
-            "pingpong-placement",
-            {"placement": "inter-nodes", "message_kib": 4, "noise": "none"},
-        )
-        plan = CampaignPlan(name="engine-bytes", specs=(spec,))
-        stores = {}
-        for name, engine in (("default", None), ("batch", "batch")):
-            stores[name] = ArtifactStore(tmp_path / name)
-            result = run_distributed(
-                plan,
-                store=stores[name],
-                options=_options(workers=1, preload=None, sim_engine=engine),
-            )
-            assert result.failed == 0 and result.executed == 1
-        assert (
-            stores["default"].result_path(spec).read_bytes()
-            == stores["batch"].result_path(spec).read_bytes()
-        )
-
-
 # -- shard planning -----------------------------------------------------------------
 
 def _costed_plan(works):

@@ -1,24 +1,24 @@
-"""Flit-engine suite: selection, calendar-queue semantics, and equivalence.
+"""Flit-engine suite: calendar-queue semantics and golden behaviour pins.
 
-Covers engine selection via ``REPRO_SIM_ENGINE`` (including the batch
-engine's NumPy gate and fallback), unit tests of the calendar-queue
-scheduler's ordering/cancel/resume semantics, a randomized three-engine
-equivalence suite (seeded scenarios across routing modes and noise levels,
-asserting identical event counts, counter snapshots and message timelines —
-the flit analogue of ``tests/test_flow_solver.py``), the pinned digest of
-the smoke noisy ping-pong under every engine, byte-identical campaign
-results across engines, the batch selector's vectorized wide-decision
-path, and the ``queue_depth`` gauge on ``Simulator.run`` telemetry spans.
+Covers unit tests of the calendar-queue scheduler's ordering/cancel/resume
+semantics (fuzzed against the heap :class:`~repro.sim.engine.Simulator` as
+oracle), then pins the flit backend's observable behaviour with sha256
+digests: 24 seeded traffic scenarios across routing modes and noise levels,
+the smoke noisy ping-pong, one campaign cell's store payload and a wide
+(4+4 candidate) UGAL run.  Every pin was recorded while the flit backend
+still shipped three interchangeable engines (heap, calendar and a fused
+NumPy plane) and all three produced these exact bytes, so the pins carry
+that cross-engine parity forward without a second implementation.  The
+``queue_depth`` gauge on ``Simulator.run`` telemetry spans closes the file.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import importlib.util
 import json
-import logging
 import random
+from typing import Optional
 
 import pytest
 
@@ -33,115 +33,16 @@ from repro.network.network import Network
 from repro.noise.background import BackgroundTraffic, NoiseLevel
 from repro.routing.modes import RoutingMode
 from repro.sim.calendar import CalendarSimulator
-from repro.sim.engine import (
-    SIM_ENGINE_ENV_VAR,
-    SIM_ENGINE_KINDS,
-    SimEngineError,
-    SimulationError,
-    Simulator,
-    default_engine_kind,
-    effective_engine_kind,
-    make_simulator,
-)
+from repro.sim.engine import SimulationError, Simulator
 from repro.telemetry import capture, disable, enable
-from repro.telemetry.log import reset_logging
 from repro.workloads.microbench import PingPongBenchmark
 
-HAS_NUMPY = importlib.util.find_spec("numpy") is not None
 
-#: Engines whose construction is unconditional here (batch needs NumPy; it
-#: falls back to calendar without it, which would fail engine_kind asserts).
-ENGINES = SIM_ENGINE_KINDS if HAS_NUMPY else ("calendar", "reference")
-
-
-# -- engine selection ---------------------------------------------------------------
-
-
-class TestEngineSelection:
-    def test_known_kinds(self):
-        assert set(SIM_ENGINE_KINDS) == {"calendar", "reference", "batch"}
-
-    def test_default_is_calendar(self, monkeypatch):
-        monkeypatch.delenv(SIM_ENGINE_ENV_VAR, raising=False)
-        assert default_engine_kind() == "calendar"
-        assert make_simulator().engine_kind == "calendar"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(SIM_ENGINE_ENV_VAR, "reference")
-        assert default_engine_kind() == "reference"
-        assert type(make_simulator()) is Simulator
-
-    def test_env_is_normalized(self, monkeypatch):
-        monkeypatch.setenv(SIM_ENGINE_ENV_VAR, "  Calendar ")
-        assert default_engine_kind() == "calendar"
-
-    def test_env_invalid_raises(self, monkeypatch):
-        monkeypatch.setenv(SIM_ENGINE_ENV_VAR, "warp-drive")
-        with pytest.raises(SimEngineError, match="warp-drive"):
-            default_engine_kind()
-
-    def test_explicit_kind_beats_env(self, monkeypatch):
-        monkeypatch.setenv(SIM_ENGINE_ENV_VAR, "calendar")
-        assert make_simulator("reference").engine_kind == "reference"
-
-    def test_unknown_explicit_kind_raises(self):
-        with pytest.raises(SimEngineError):
-            make_simulator("splay-tree")
-
-    def test_network_uses_selected_engine(self, monkeypatch):
-        monkeypatch.setenv(SIM_ENGINE_ENV_VAR, "reference")
-        assert Network(SimulationConfig.tiny()).sim.engine_kind == "reference"
-        monkeypatch.setenv(SIM_ENGINE_ENV_VAR, "calendar")
-        assert isinstance(Network(SimulationConfig.tiny()).sim, CalendarSimulator)
-
-    def test_batch_engine_selected(self, monkeypatch):
-        pytest.importorskip("numpy")
-        from repro.sim.batch import BatchSimulator
-
-        monkeypatch.setenv(SIM_ENGINE_ENV_VAR, "batch")
-        assert type(make_simulator()) is BatchSimulator
-        network = Network(SimulationConfig.tiny())
-        assert network.sim.engine_kind == "batch"
-        # The batch network plane is wired in: fused links and selector.
-        from repro.network.batch_core import BatchLink
-        from repro.routing.ugal import BatchUgalSelector
-
-        assert all(type(link) is BatchLink for link in network.fabric_links())
-        assert type(network.selector) is BatchUgalSelector
-
-    def test_explicit_sim_overrides_env(self, monkeypatch):
-        """``Network(sim=...)`` wins over REPRO_SIM_ENGINE."""
-        monkeypatch.setenv(SIM_ENGINE_ENV_VAR, "batch")
-        network = Network(SimulationConfig.tiny(), sim=make_simulator("reference"))
-        assert network.sim.engine_kind == "reference"
-        from repro.network.batch_core import BatchLink
-
-        assert not any(type(link) is BatchLink for link in network.fabric_links())
-
-    def test_batch_without_numpy_falls_back(self, monkeypatch, capsys):
-        """No NumPy: batch degrades to calendar with a structured warning.
-
-        Same idiom as the REPRO_FLOW_SOLVER vectorized/reference fallback —
-        the run proceeds on the equivalent engine, and the downgrade is
-        visible in the structured log rather than silent.
-        """
-        monkeypatch.setattr("repro.sim.engine._numpy_available", lambda: False)
-        reset_logging()
-        try:
-            sim = make_simulator("batch")
-        finally:
-            err = capsys.readouterr().err
-            reset_logging()
-        assert sim.engine_kind == "calendar"
-        assert "sim.engine.fallback" in err
-        assert "numpy-unavailable" in err
-        assert effective_engine_kind("batch") == "calendar"
-
-    def test_effective_engine_kind_resolves_env(self, monkeypatch):
-        monkeypatch.setenv(SIM_ENGINE_ENV_VAR, "reference")
-        assert effective_engine_kind() == "reference"
-        if HAS_NUMPY:
-            assert effective_engine_kind("batch") == "batch"
+def _digest(observable) -> str:
+    """sha256 of an observable dict in its canonical JSON form."""
+    return hashlib.sha256(
+        json.dumps(observable, sort_keys=True).encode()
+    ).hexdigest()
 
 
 # -- calendar-queue scheduler semantics ---------------------------------------------
@@ -182,7 +83,7 @@ class TestCalendarSimulator:
         assert sim.now == 3
 
     def test_matches_reference_on_this_contract(self):
-        """The reference engine executes the exact same order."""
+        """The heap engine executes the exact same order."""
 
         def drive(sim):
             hits = []
@@ -331,7 +232,7 @@ class TestCalendarSimulator:
         assert drive(CalendarSimulator()) == drive(Simulator())
 
 
-# -- randomized reference-vs-calendar equivalence -----------------------------------
+# -- golden scenario pins -----------------------------------------------------------
 
 
 MODES = (
@@ -345,16 +246,16 @@ MODES = (
 NOISE = (NoiseLevel.NONE, NoiseLevel.NONE, NoiseLevel.LIGHT, NoiseLevel.MODERATE)
 
 
-def _run_scenario(engine: str, seed: int) -> dict:
-    """One seeded traffic scenario under the given engine; returns observables.
+def _run_scenario(seed: int, sim: Optional[Simulator] = None) -> dict:
+    """One seeded traffic scenario on ``sim`` (default: the network's own).
 
     The scenario generator draws every choice from ``random.Random(seed)``
-    *before* touching the network, so both engines replay the identical
-    script; any divergence in the returned dict is the engine's fault.
+    *before* touching the network, so the script is fixed by the seed; any
+    change in the returned dict is a change in simulated behaviour.
     """
     rng = random.Random(seed)
     config = SimulationConfig.small(seed=1000 + seed)
-    network = Network(config, sim=make_simulator(engine))
+    network = Network(config, sim=sim)
     num_nodes = network.num_nodes
     noise_level = rng.choice(NOISE)
     sends = []
@@ -392,7 +293,6 @@ def _run_scenario(engine: str, seed: int) -> dict:
     network.run_until_idle()
     selector = network.selector
     return {
-        "engine_kind": network.sim.engine_kind,
         "events": network.sim.events_executed,
         "now": network.sim.now,
         "timelines": [
@@ -415,29 +315,53 @@ def _run_scenario(engine: str, seed: int) -> dict:
 
 
 class TestEngineEquivalence:
-    """Event-for-event parity between all engines on real traffic.
+    """Each seeded scenario reproduces the behaviour all engines agreed on.
 
-    24 seeded scenarios spanning routing modes, message sizes, send
-    schedules and noise levels; everything observable must match exactly,
-    pairwise across every engine.  The batch engine is held to *more* than
-    its contract (observable-state equality): its fused plane is a
-    statement-for-statement transcription, so even the event counts match.
+    24 scenarios spanning routing modes, message sizes, send schedules and
+    noise levels.  The pins digest event counts, message timelines, routing
+    splits, decision counts, every NIC's counter snapshot and the flits
+    forwarded, so any drift in the scheduler, link plane, router, NIC or
+    UGAL selector moves at least one of them.
     """
+
+    PINS = (
+        "bef18c040167b4b977293f576e37e05005fa9e1fe2026c55ab3cc72b32b67153",
+        "1622017ceca7d8fc40b3554ec1e3cda8f3d57c5d1e81ee067827cb8eb668e7ef",
+        "eded73271d395e3fc20af1c68a0a62b62c28f6d3a755ac4ff2733faf6ff7a6df",
+        "453d463d56eb614ffa4de74d77d0f034ee1a38953ae3571a018e7cf206792566",
+        "4523b4ea3137a4a8dfdcefa8bda16a662299b2e7212b9ce7fe92488a42283d62",
+        "9d53caa0a69326cead342b183b51c28a61cb0d5ae67146011591d1d1e0ee52c6",
+        "78179e773e30dffe4437a84cac6829cc381a0decb69a298533a01fbf1df1a637",
+        "86341d78e5d355dad8e0154ca4a73cdf0e4ab20baba3aed91563c28fdacbb577",
+        "c8ab3023ae9e6e156a9d7dce54e1f69442fd4ba0003ae6c63bf3f73afca266cd",
+        "e723cf6e5373d0c8d740685fe90386e36e16e925ced3e6971658cdbcda8477af",
+        "44233d386c17046268592a49ba5df6d57efaeade9a482e251ec65445a752b09c",
+        "f321b3d07fe7d0c2d9bd3eb2afde489e9f5ad309a042f285850b0a54af5814d3",
+        "a29600e3b679585593f0120c3d009b6918c84ea4d13fb0be9e96a0a92cf4cfc4",
+        "2363cdb7ade046bf050b313d2a04d2a330376d412a5510861e34de601bd0479f",
+        "85237e345a7eee1801fbfdaceb2e2631cf018583a7da427de8b4002cbaf181d1",
+        "de995a0c8caf477bdb99fa638a72f56ac2941bebcc63c3da273264fbff171ed2",
+        "7cd277ff43a59c07976f1e34a7481a6308f3b4140d3d153aa9f7fb4a5a3b8c13",
+        "23f8cfa5ce8a20f63e180e5899283f2d37066e197b5c507dbb38de0dfa368e8a",
+        "a5090210b1afdc876bf869a4e3c65a97e442a6c77fcbba8d31e4fbb46917c602",
+        "f034e39fc970fc7a76c0c30d46922fdec9383bd24f65ae972c7ac8bc1878276e",
+        "edb3e3424e97e084ec3b86c24013c52b5d7a5aa14b975a9ed51963cf92ca285d",
+        "b286c45a7e450fb824de6dc889d9b355eeb2c793d14aeff1c0c4653a02d47150",
+        "cde6e394395c6688290d2071e9227e2d24dece05f2ec8eca092d8da07df3174c",
+        "bfee712e4798f90fa323916d8403b71a7f7a4ab623f05dbae59cf4e1f1ecbf67",
+    )
 
     @pytest.mark.parametrize("seed", range(24))
     def test_equivalent_scenario(self, seed):
-        results = {}
-        for engine in ENGINES:
-            result = _run_scenario(engine, seed)
-            assert result.pop("engine_kind") == engine
-            results[engine] = result
-        baseline = results["reference"]
-        for engine, result in results.items():
-            assert result == baseline, f"{engine} diverged from reference"
+        assert _digest(_run_scenario(seed)) == self.PINS[seed]
+
+    def test_injected_heap_engine_matches_pin(self):
+        """``Network(config, sim=...)`` swaps the scheduler, not the result."""
+        assert _digest(_run_scenario(0, sim=Simulator())) == self.PINS[0]
 
 
 class TestSmokePingPongDigest:
-    """Every engine reproduces the pinned smoke noisy ping-pong exactly.
+    """The pinned smoke noisy ping-pong is reproduced exactly.
 
     The smoke-scale twin of the benchmark's ``flit-pingpong`` workload:
     MODERATE noise between nodes 0 and last, a 16 KiB (scaled) ping-pong
@@ -447,9 +371,7 @@ class TestSmokePingPongDigest:
 
     DIGEST = "5640dc0083c0bef7c8d901beb375e1749c755e1aa90dbeb244537b1a0d28f249"
 
-    @pytest.mark.parametrize("engine", SIM_ENGINE_KINDS)
-    def test_pinned_digest(self, monkeypatch, engine):
-        monkeypatch.setenv(SIM_ENGINE_ENV_VAR, engine)
+    def test_pinned_digest(self):
         scale = ExperimentScale.smoke()
         network = build_network_model(scale.simulation_config().with_backend("flit"))
         allocation = [0, network.num_nodes - 1]
@@ -481,50 +403,40 @@ class TestSmokePingPongDigest:
         }
         assert observable["events"] == 101_337
         assert observable["simulated_cycles"] == 49_178
-        digest = hashlib.sha256(
-            json.dumps(observable, sort_keys=True).encode()
-        ).hexdigest()
-        assert digest == self.DIGEST
+        assert _digest(observable) == self.DIGEST
 
 
 class TestRunSpecStoreEquivalence:
-    """A campaign cell produces byte-identical results under every engine."""
+    """A campaign cell's store payload matches the bytes every engine wrote."""
 
     SPEC = {
         "scenario": "pingpong-placement",
         "params": {"placement": "inter-nodes", "message_kib": 4, "noise": "none"},
     }
 
-    def _payload(self, monkeypatch, engine: str) -> dict:
+    DIGEST = "adf968a37b780bde412b2679d19e1047b43e0a3df2f7f07617bcbbd805c63052"
+
+    def test_identical_store_payloads(self):
         ensure_builtin_scenarios()
-        monkeypatch.setenv(SIM_ENGINE_ENV_VAR, engine)
         spec = RunSpec.make(self.SPEC["scenario"], self.SPEC["params"])
         payload, _report, _elapsed = execute_spec(spec)
-        return payload
-
-    def test_identical_store_payloads(self, monkeypatch):
-        # Deliberately SIM_ENGINE_KINDS, not ENGINES: without NumPy the
-        # batch run falls back to calendar, whose bytes must still match.
-        blobs = {
-            engine: json.dumps(
-                self._payload(monkeypatch, engine), sort_keys=True
-            ).encode()
-            for engine in SIM_ENGINE_KINDS
-        }
-        assert len(set(blobs.values())) == 1, (
-            "store payloads diverged across engines: "
-            + ", ".join(sorted(blobs))
-        )
+        assert _digest(payload) == self.DIGEST
 
 
-class TestVectorizedWideDecisions:
-    """Wide candidate sets route through the NumPy scoring entry point."""
+class TestWideDecisions:
+    """A 4+4-candidate UGAL run reproduces its pinned decisions.
 
-    def _run_wide(self, engine: str) -> dict:
+    Wider candidate sets than the shipped 2+2 exercise the minimal-first
+    tie-break and the repeated-minimal-path score cache over more draws.
+    """
+
+    DIGEST = "f30eac2855d1d68a626bf27080ea5dc295b4925a026c3590055dba6eca4eec90"
+
+    def test_wide_candidate_run_matches_pin(self):
         config = SimulationConfig.small(seed=77).with_routing(
             minimal_candidates=4, nonminimal_candidates=4
         )
-        network = Network(config, sim=make_simulator(engine))
+        network = Network(config)
         rng = random.Random(909)
         messages = []
         clock = 0
@@ -538,7 +450,7 @@ class TestVectorizedWideDecisions:
             )
         network.run_until_idle()
         selector = network.selector
-        return {
+        observable = {
             "events": network.sim.events_executed,
             "timelines": [
                 (m.submit_time, m.delivered_time, m.acked_time) for m in messages
@@ -548,23 +460,7 @@ class TestVectorizedWideDecisions:
             ],
             "decisions": (selector.decisions, selector.minimal_decisions),
         }
-
-    def test_wide_decisions_are_vectorized_and_equivalent(self, monkeypatch):
-        pytest.importorskip("numpy")
-        from repro.routing.ugal import VECTORIZE_MIN_CANDIDATES, BatchUgalSelector
-
-        assert 4 + 4 >= VECTORIZE_MIN_CANDIDATES
-        calls = {"n": 0}
-        original = BatchUgalSelector._select_vectorized
-
-        def spy(self, *args, **kwargs):
-            calls["n"] += 1
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(BatchUgalSelector, "_select_vectorized", spy)
-        batch = self._run_wide("batch")
-        assert calls["n"] > 0, "batch selector never took the vectorized path"
-        assert batch == self._run_wide("reference")
+        assert _digest(observable) == self.DIGEST
 
 
 # -- telemetry: queue_depth on sim.run spans ----------------------------------------
@@ -577,9 +473,8 @@ class TestSimRunTelemetry:
         yield
         disable()
 
-    @pytest.mark.parametrize("engine", SIM_ENGINE_KINDS)
-    def test_run_span_reports_live_queue_depth(self, engine):
-        network = Network(SimulationConfig.tiny(), sim=make_simulator(engine))
+    def test_run_span_reports_live_queue_depth(self):
+        network = Network(SimulationConfig.tiny())
         message = network.send(0, network.num_nodes - 1, 1024)
         enable()
         with capture() as cap:

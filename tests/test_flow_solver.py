@@ -67,20 +67,9 @@ class TestEngineSelection:
         with pytest.raises(SolverEngineError, match="unknown flow-solver engine"):
             make_engine("quantum", lambda key: 1.0)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLOW_SOLVER", "reference")
-        assert default_engine_kind() == "reference"
-        network = FlowNetwork(SimulationConfig.tiny())
-        assert network.solver_kind == "reference"
-
-    def test_env_override_invalid(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLOW_SOLVER", "nope")
-        with pytest.raises(SolverEngineError, match="REPRO_FLOW_SOLVER"):
-            default_engine_kind()
-
-    def test_default_is_vectorized_with_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FLOW_SOLVER", raising=False)
+    def test_default_is_vectorized_with_numpy(self):
         assert default_engine_kind() == "vectorized"
+        assert FlowNetwork(SimulationConfig.tiny()).solver_kind == "vectorized"
 
     def test_network_solver_arg(self):
         for kind in ENGINE_KINDS:

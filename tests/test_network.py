@@ -10,6 +10,7 @@ from repro.network.network import Network
 from repro.network.packet import RdmaOp
 from repro.network.router import Router, RoutingError
 from repro.routing.modes import RoutingMode
+from repro.sim.calendar import CalendarSimulator
 from repro.topology.geometry import router_of_node
 
 
@@ -19,6 +20,9 @@ class TestConstruction:
         assert tiny_network.num_nodes == cfg.num_nodes
         assert tiny_network.num_routers == cfg.num_routers
         assert len(list(tiny_network.fabric_links())) == len(tiny_network.topology.all_links())
+
+    def test_runs_on_the_calendar_engine(self, tiny_network):
+        assert type(tiny_network.sim) is CalendarSimulator
 
     def test_every_router_serves_its_nodes(self, tiny_network):
         cfg = tiny_network.config.topology

@@ -4,8 +4,7 @@ Covers the cost/fidelity layer (:mod:`repro.model.cost` + the registry
 hooks in :mod:`repro.model.base`), the plan-time backend router
 (:mod:`repro.campaign.router`), the SPEC_FORMAT 3 migration rules, the
 executor's flit-audit post-pass and the CLI surface (``--backend auto``,
-``--budget``, ``--audit-fraction``).  The whole module runs under both
-flow solver engines (CI sets ``REPRO_FLOW_SOLVER=reference``).
+``--budget``, ``--audit-fraction``).
 """
 
 from __future__ import annotations
@@ -160,57 +159,6 @@ class TestCostModels:
             )
         with pytest.raises(ValueError, match="non-negative"):
             CostEstimate(backend="flit", work=-1.0)
-
-    def test_flit_cost_reflects_selected_engine(self, monkeypatch):
-        """The flit estimate uses the engine the run will actually execute on."""
-        from repro.sim.engine import SIM_ENGINE_ENV_VAR
-
-        profile = WorkloadProfile(
-            nodes=24, routers=12, links=120, messages=100.0,
-            flits_per_message=80.0, avg_hops=5.0, concurrent_flows=8.0,
-        )
-        model = FlitCostModel()
-        costs = {}
-        for engine in ("calendar", "reference", "batch"):
-            monkeypatch.setenv(SIM_ENGINE_ENV_VAR, engine)
-            estimate = model.estimate_cost(profile)
-            costs[engine] = estimate.work
-            assert estimate.detail["unit_cost"] > 0
-        assert costs["calendar"] == costs["reference"]
-        try:
-            import numpy  # noqa: F401
-        except ImportError:
-            assert costs["batch"] == costs["calendar"]  # fallback engine
-        else:
-            # Same predicted events, cheaper per-event weight on batch.
-            assert costs["batch"] < costs["calendar"]
-            ratio = costs["batch"] / costs["calendar"]
-            assert ratio == pytest.approx(
-                model.engine_unit_cost["batch"] / model.engine_unit_cost["calendar"]
-            )
-
-    def test_engine_switch_never_reorders_backends(self, monkeypatch):
-        """Backend routing order is engine-independent.
-
-        The batch engine discounts flit work by ~10%, while flow work is
-        orders of magnitude below flit on message-heavy cells — so an
-        engine switch must never flip a router decision.  Pinned here so a
-        future re-fit of the per-engine constants that *does* cross the
-        boundary fails a test instead of silently rerouting campaigns.
-        """
-        from repro.sim.engine import SIM_ENGINE_ENV_VAR
-
-        profile = WorkloadProfile(
-            nodes=24, routers=12, links=120, messages=10_000.0,
-            flits_per_message=80.0, avg_hops=5.0, concurrent_flows=8.0,
-        )
-        orders = {}
-        for engine in ("calendar", "reference", "batch"):
-            monkeypatch.setenv(SIM_ENGINE_ENV_VAR, engine)
-            flit = FlitCostModel().estimate_cost(profile).work
-            flow = FlowCostModel().estimate_cost(profile).work
-            orders[engine] = flit > 10.0 * flow
-        assert all(orders.values()), orders
 
 
 class TestProfiles:

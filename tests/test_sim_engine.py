@@ -1,10 +1,16 @@
-"""Tests for the discrete-event engine and the random-stream registry."""
+"""Tests for the discrete-event engines and the random-stream registry.
+
+The scheduler contract classes run on the heap :class:`Simulator` (the
+``simulator`` fixture) and again, through ``*OnCalendar`` subclasses, on
+:class:`CalendarSimulator`, the engine every network model runs on.
+"""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.sim.calendar import CalendarSimulator
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.rng import RandomStreams, derive_seed
 
@@ -250,6 +256,30 @@ class TestRunControl:
         sim.run()
         assert observed == sorted(observed)
         assert sim.now == max(delays)
+
+
+class _OnCalendar:
+    """Re-runs an inherited contract class on the calendar engine."""
+
+    @pytest.fixture
+    def simulator(self) -> CalendarSimulator:
+        return CalendarSimulator()
+
+
+class TestSimulatorBasicsOnCalendar(_OnCalendar, TestSimulatorBasics):
+    pass
+
+
+class TestCancellationOnCalendar(_OnCalendar, TestCancellation):
+    pass
+
+
+class TestLiveEventCounterOnCalendar(_OnCalendar, TestLiveEventCounter):
+    test_counter_matches_heap_scan = None  # reads the heap's ``_queue``
+
+
+class TestRunControlOnCalendar(_OnCalendar, TestRunControl):
+    test_clock_is_monotonic = None  # builds its own heap Simulator
 
 
 class TestRandomStreams:
