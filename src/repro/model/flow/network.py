@@ -20,7 +20,11 @@ How a message is resolved
    request flits split proportionally to each path's nominal bottleneck
    bandwidth.  Sub-flows occupy their injection link, every fabric hop and
    the ejection link, so NIC sharing, fabric contention and incast all fall
-   out of the fair-share allocation.
+   out of the fair-share allocation.  The split, the rate caps and the
+   residual latencies depend on the topology alone, so the
+   :class:`RoutePlan` of a spread with no Valiant detour is computed once
+   and kept in the process-wide :class:`RouteTable`; a message with a
+   detour is planned afresh.
 3. Whenever the flow set changes, rates are recomputed and a single
    completion event is scheduled — event count scales with messages, not
    with ``flits x hops``, which is where the backend's speed comes from.
@@ -39,9 +43,9 @@ modelled as forward volume.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.config import SimulationConfig
+from repro.config import NicConfig, SimulationConfig, TopologyConfig
 from repro.model.base import NetworkModel, register_backend
 from repro.model.flow.engine import default_engine_kind, make_engine
 from repro.model.flow.solver import FairShareSolver, FlowState
@@ -56,7 +60,7 @@ from repro.telemetry.core import TELEMETRY
 from repro.telemetry.probes import PROBES, ProbeRecorder, ProbeSampler
 from repro.topology.dragonfly import DragonflyTopology, LinkKind
 from repro.topology.geometry import router_of_node
-from repro.topology.paths import Path, PathSampler
+from repro.topology.paths import Path, PathSampler, PathTable
 
 #: Remaining-volume threshold below which a flow counts as drained (flits).
 _DRAINED = 1e-6
@@ -69,6 +73,85 @@ _MAX_OVERLOAD_BUFFERS = 4.0
 #: over every minimal path; the fluid analogue spreads each message over up
 #: to this many paths at once.
 _MAX_SPREAD = 8
+
+#: Fabric link keys of a path, one ``("fab", a, b)`` per hop.
+Fabric = Tuple[Tuple[str, int, int], ...]
+
+
+class RoutePlan(NamedTuple):
+    """How one message spreads over its paths, from its solo solve.
+
+    ``routes`` holds one ``(path, fabric, cap, share, fwd, back)`` per
+    sub-flow: the path's fabric link keys, its rate cap (the outstanding-
+    packet window), the share of the volume it carries, and its forward and
+    response residual latencies.  The rest are message-level.  Nothing here
+    depends on which nodes send, only on the routers' paths and the packet
+    size.
+    """
+
+    routes: Tuple[Tuple[Path, Fabric, float, float, int, int], ...]
+    #: Back-pressure-free aggregate rate (flits/cycle).
+    free_rate: float
+    #: Share-weighted round trip plus one packet's serialization (cycles).
+    base_rtt: float
+    #: Share-weighted credit-covered buffering along the paths (flits).
+    path_buffer: float
+    #: Share of the volume on minimal paths.
+    minimal_weight: float
+
+
+#: The process-wide route tables, one per (topology, NIC) configuration.
+_ROUTE_TABLES: Dict[Tuple[TopologyConfig, NicConfig], "RouteTable"] = {}
+
+
+class RouteTable:
+    """Route data of one (topology, NIC) configuration, shared process-wide.
+
+    Every :class:`FlowNetwork` of the configuration reads and fills it:
+
+    * ``links`` interns one ``("fab", a, b)`` key per directed link;
+    * ``fabric`` holds each minimal path's fabric link keys;
+    * ``plans`` holds the :class:`RoutePlan` of every spread that is a pure
+      function of its router pair and routing mode, by ``(paths, packet
+      flits)``.
+
+    Nothing keyed by a Valiant path, or by a random sample of a large
+    minimal set, is ever stored: those spaces grow with every message.
+    """
+
+    def __init__(self, num_routers: int):
+        self._num_routers = num_routers
+        self.links: Dict[int, Tuple[str, int, int]] = {}
+        self.fabric: Dict[Path, Fabric] = {}
+        self.plans: Dict[Tuple[Sequence[Path], int], RoutePlan] = {}
+
+    @classmethod
+    def of(cls, config: SimulationConfig) -> "RouteTable":
+        """The shared table of ``config``'s topology and NIC."""
+        key = (config.topology, config.nic)
+        table = _ROUTE_TABLES.get(key)
+        if table is None:
+            table = _ROUTE_TABLES[key] = cls(config.topology.num_routers)
+        return table
+
+    def path_fabric(self, path: Path) -> Fabric:
+        """Fabric link keys of any path, from the interned per-link keys (not stored)."""
+        links = self.links
+        n = self._num_routers
+        keys = []
+        for a, b in zip(path, path[1:]):
+            key = links.get(a * n + b)
+            if key is None:
+                key = links[a * n + b] = ("fab", a, b)
+            keys.append(key)
+        return tuple(keys)
+
+    def minimal_fabric(self, path: Path) -> Fabric:
+        """Fabric link keys of a minimal path (stored)."""
+        fabric = self.fabric.get(path)
+        if fabric is None:
+            fabric = self.fabric[path] = self.path_fabric(path)
+        return fabric
 
 
 class FlowNic:
@@ -311,8 +394,8 @@ class FlowNetwork(NetworkModel):
         self._dirty = False
         self._completion_event: Optional[Event] = None
         self._capacity_cache: Dict[object, float] = {}
-        #: Minimal-path sets memoized per (src_router, dst_router).
-        self._minimal_paths: Dict[Tuple[int, int], List[Path]] = {}
+        self._paths: PathTable = self.sampler.table
+        self._routes = RouteTable.of(self.config)
 
         #: Injection nominal rate: one flit per ``cycles_per_flit`` host cycles.
         self._inj_rate = 1.0 / topo_cfg.cycles_per_flit
@@ -348,13 +431,6 @@ class FlowNetwork(NetworkModel):
     def _ejection_key(node: int):
         return ("host", "ej", node)
 
-    def _links_of_path(self, src_node: int, dst_node: int, path: Path) -> Tuple:
-        keys: List[object] = [self._injection_key(src_node)]
-        for a, b in zip(path, path[1:]):
-            keys.append(("fab", a, b))
-        keys.append(self._ejection_key(dst_node))
-        return tuple(keys)
-
     # -- overload estimate (the flow backend's congestion signal) ----------------
 
     def _overload_flits(self, key) -> float:
@@ -376,33 +452,37 @@ class FlowNetwork(NetworkModel):
         buffer_flits = float(self.config.topology.router_buffer_flits)
         return buffer_flits * min(overload, _MAX_OVERLOAD_BUFFERS)
 
-    def _path_score(self, src_node: int, dst_node: int, path: Path) -> float:
-        hops = len(path) - 1
-        if hops <= 0:
+    def _path_score(self, inj: float, ej: float, fabric: Fabric) -> float:
+        """Congestion score of a path: overload along its links plus its hops.
+
+        ``inj`` and ``ej`` are the overloads of the message's injection and
+        ejection links, which every candidate path shares.
+        """
+        if not fabric:
             return 0.0
-        congestion = self._overload_flits(self._injection_key(src_node))
-        for a, b in zip(path, path[1:]):
-            congestion += self._overload_flits(("fab", a, b))
-        congestion += self._overload_flits(self._ejection_key(dst_node))
-        return congestion + float(hops)
+        overload_of = self._overload_flits
+        congestion = inj
+        for key in fabric:
+            congestion += overload_of(key)
+        return congestion + ej + float(len(fabric))
 
     # -- path choice ---------------------------------------------------------------
 
-    def _minimal_spread(self, src_router: int, dst_router: int) -> List[Path]:
-        """The minimal paths a message sprays over (memoized, capped)."""
-        key = (src_router, dst_router)
-        paths = self._minimal_paths.get(key)
-        if paths is None:
-            paths = self.sampler.all_minimal(src_router, dst_router)
-            self._minimal_paths[key] = paths
+    def _minimal_spread(self, src_router: int, dst_router: int) -> Tuple[Sequence[Path], bool]:
+        """The minimal paths a message sprays over, capped at ``_MAX_SPREAD``.
+
+        Also says whether they are the whole set (the shared tuple) rather
+        than a random sample of it.
+        """
+        paths = self._paths.all_minimal(src_router, dst_router)
         if len(paths) <= _MAX_SPREAD:
-            return list(paths)
-        return self.streams.stream("routing").sample(paths, _MAX_SPREAD)
+            return paths, True
+        return self.streams.stream("routing").sample(paths, _MAX_SPREAD), False
 
     def _choose_paths(
         self, src_node: int, dst_node: int, mode: RoutingMode
-    ) -> List[Tuple[Path, bool]]:
-        """Select the (path, minimal?) set one message is spread over.
+    ) -> Tuple[Sequence[Path], List[Tuple[Path, Fabric]], bool]:
+        """Select the paths one message is spread over.
 
         The flit backend decides per packet, so across a large message the
         hardware sprays packets over every minimal path (and, for the
@@ -411,25 +491,31 @@ class FlowNetwork(NetworkModel):
         spread over the (capped) minimal-path set, and a detour joins the
         spread only when its congestion score — biased exactly like UGAL's
         non-minimal candidates — beats the best minimal path.
+
+        Returns the minimal paths, the detours with their fabric link keys,
+        and whether the choice is a pure function of the router pair and
+        mode (no detour, no random sample), so that its plan may be stored.
         """
-        src_router = router_of_node(src_node, self.config.topology)
-        dst_router = router_of_node(dst_node, self.config.topology)
+        src_router = self.nics[src_node].router_id
+        dst_router = self.nics[dst_node].router_id
         if src_router == dst_router:
-            return [((src_router,), True)]
+            return ((src_router,),), [], True
         sampler = self.sampler
         if mode is RoutingMode.IN_ORDER:
-            return [(sampler.all_minimal(src_router, dst_router)[0], True)]
+            return (self._paths.all_minimal(src_router, dst_router)[0],), [], True
         if mode is RoutingMode.MIN_HASH:
-            return [(p, True) for p in self._minimal_spread(src_router, dst_router)]
+            spread, whole = self._minimal_spread(src_router, dst_router)
+            return spread, [], whole
+        path_fabric = self._routes.path_fabric
         if mode is RoutingMode.NMIN_HASH:
-            selected: List[Tuple[Path, bool]] = []
+            detours: List[Tuple[Path, Fabric]] = []
             seen = set()
             for _ in range(2 * max(1, self.config.routing.nonminimal_candidates)):
                 path = sampler.nonminimal(src_router, dst_router)
                 if path not in seen:
                     seen.add(path)
-                    selected.append((path, False))
-            return selected
+                    detours.append((path, path_fabric(path)))
+            return (), detours, False
         if not mode.is_adaptive:
             raise ValueError(f"unsupported routing mode {mode}")
 
@@ -440,30 +526,30 @@ class FlowNetwork(NetworkModel):
             minimal_hops = sampler.minimal_hops(src_router, dst_router)
             bias = bias_for_mode(mode, cfg, minimal_hops)
 
-        minimal_paths = self._minimal_spread(src_router, dst_router)
+        minimal_paths, whole = self._minimal_spread(src_router, dst_router)
         seen = set(minimal_paths)
-        scores = [
-            self._path_score(src_node, dst_node, path) for path in minimal_paths
-        ]
-        best_minimal = min(scores)
+        inj = self._overload_flits(self._injection_key(src_node))
+        ej = self._overload_flits(self._ejection_key(dst_node))
+        minimal_fabric = self._routes.minimal_fabric
+        best_minimal = min(
+            self._path_score(inj, ej, minimal_fabric(path)) for path in minimal_paths
+        )
 
-        selected = [(path, True) for path in minimal_paths]
+        detours = []
         for _ in range(cfg.nonminimal_candidates):
             path = sampler.nonminimal(src_router, dst_router)
             if path in seen:
                 continue
             seen.add(path)
-            score = (
-                self._path_score(src_node, dst_node, path) * cfg.nonminimal_penalty
-                + bias
-            )
+            fabric = path_fabric(path)
+            score = self._path_score(inj, ej, fabric) * cfg.nonminimal_penalty + bias
             # The whole-message analogue of UGAL's per-packet comparison: a
             # detour joins the spread only when it beats the best minimal
             # candidate despite its bias, i.e. when the minimal paths are
             # congested enough to pay for the extra hops.
             if score < best_minimal:
-                selected.append((path, False))
-        return selected
+                detours.append((path, fabric))
+        return minimal_paths, detours, whole and not detours
 
     # -- latency model ---------------------------------------------------------------
 
@@ -498,6 +584,59 @@ class FlowNetwork(NetworkModel):
         cycles += topo_cfg.host_link_latency  # ejection wire
         cycles += packet_flits * topo_cfg.cycles_per_flit
         return cycles
+
+    def _plan(
+        self,
+        spread: Sequence[Path],
+        detours: List[Tuple[Path, Fabric]],
+        pkt_flits: int,
+    ) -> RoutePlan:
+        """Plan a message over its paths by a *solo* fair-share solve.
+
+        The solve covers just this message's sub-flows.  Its rates give
+        (a) the volume share each path carries — correctly discounting
+        paths that share links — and (b) the back-pressure-free aggregate
+        rate used as the baseline of the stall model.  Injection and
+        ejection links all have the host-link capacity, so which nodes send
+        does not change the solve.
+        """
+        nic_cfg = self.config.nic
+        minimal_fabric = self._routes.minimal_fabric
+        routes = [(path, minimal_fabric(path), True) for path in spread]
+        routes += [(path, fabric, False) for path, fabric in detours]
+        # Any node's host links do: they all have the host-link capacity.
+        inj, ej = self._injection_key(0), self._ejection_key(0)
+        flows: List[FlowState] = []
+        latencies: List[Tuple[int, int]] = []
+        for path, fabric, _minimal in routes:
+            fwd = self._residual_latency(path, pkt_flits)
+            back = self._residual_latency(tuple(reversed(path)), nic_cfg.response_flits)
+            # Outstanding-packet window as a bandwidth-delay product cap.
+            window_rate = nic_cfg.max_outstanding_packets * pkt_flits / max(1, fwd + back)
+            flows.append(FlowState(
+                flow_id=len(flows),
+                links=(inj,) + fabric + (ej,),
+                volume_flits=1.0,
+                cap=min(self._inj_rate, window_rate),
+            ))
+            latencies.append((fwd, back))
+        self._solo_solver.solve(flows)
+        total_rate = sum(flow.rate for flow in flows)
+
+        entries = []
+        minimal_weight = base_rtt = path_buffer = 0.0
+        for (path, fabric, minimal), flow, (fwd, back) in zip(routes, flows, latencies):
+            share = flow.rate / total_rate
+            if minimal:
+                minimal_weight += share
+            base_rtt += share * (fwd + back)
+            path_buffer += share * self._path_buffer_flits(path)
+            entries.append((path, fabric, flow.cap, share, fwd, back))
+        base_rtt += pkt_flits * self.config.topology.cycles_per_flit
+        return RoutePlan(
+            tuple(entries), min(self._inj_rate, total_rate), base_rtt, path_buffer,
+            minimal_weight,
+        )
 
     # -- NetworkModel API -------------------------------------------------------------
 
@@ -559,66 +698,49 @@ class FlowNetwork(NetworkModel):
                 pkt_flits, -(-message.response_flits // message.num_packets)
             )
 
-        routes = self._choose_paths(src_node, dst_node, routing_mode)
+        spread, detours, storable = self._choose_paths(src_node, dst_node, routing_mode)
+        if storable:
+            plans = self._routes.plans
+            plan = plans.get((spread, pkt_flits))
+            if plan is None:
+                plan = plans[(spread, pkt_flits)] = self._plan(spread, detours, pkt_flits)
+        else:
+            plan = self._plan(spread, detours, pkt_flits)
 
         state = _MessageFlows(message, src_nic, dst_nic, now)
         state.volume = volume
         state.pkt_flits = pkt_flits
-        state.pending_serial = len(routes)
-        state.pending_arrivals = len(routes)
-        state.pending_acks = len(routes)
+        state.pending_serial = len(plan.routes)
+        state.pending_arrivals = len(plan.routes)
+        state.pending_acks = len(plan.routes)
+        state.free_rate = plan.free_rate
+        state.base_rtt = plan.base_rtt
+        state.path_buffer = plan.path_buffer
 
-        # Build the sub-flows, then run a *solo* fair-share solve over just
-        # this message's flows: the resulting rates give (a) the volume
-        # share each path carries — correctly discounting paths that share
-        # links — and (b) the back-pressure-free aggregate rate used as the
-        # baseline of the stall model.
-        nic_cfg = self.config.nic
-        entries: List[Tuple[FlowState, Path, bool, int, int]] = []
-        for path, minimal in routes:
-            fwd = self._residual_latency(path, pkt_flits)
-            back = self._residual_latency(
-                tuple(reversed(path)), nic_cfg.response_flits
-            )
-            # Outstanding-packet window as a bandwidth-delay product cap.
-            window_rate = (
-                nic_cfg.max_outstanding_packets * pkt_flits / max(1, fwd + back)
-            )
+        inj = self._injection_key(src_node)
+        ej = self._ejection_key(dst_node)
+        flows: List[FlowState] = []
+        for path, fabric, cap, share, fwd, back in plan.routes:
             flow = FlowState(
                 flow_id=self._flow_seq,
-                links=self._links_of_path(src_node, dst_node, path),
-                volume_flits=1.0,  # placeholder until shares are known
-                cap=min(self._inj_rate, window_rate),
+                links=(inj,) + fabric + (ej,),
+                volume_flits=max(1e-3, volume * share),
+                cap=cap,
                 payload=state,
             )
             self._flow_seq += 1
-            entries.append((flow, path, minimal, fwd, back))
-        self._solo_solver.solve([entry[0] for entry in entries])
-        total_rate = sum(entry[0].rate for entry in entries)
-        state.free_rate = min(self._inj_rate, total_rate)
-
-        minimal_weight = 0.0
-        for flow, path, minimal, fwd, back in entries:
-            share = flow.rate / total_rate
-            if minimal:
-                minimal_weight += share
-            state.base_rtt += share * (fwd + back)
-            state.path_buffer += share * self._path_buffer_flits(path)
-            flow.remaining = max(1e-3, volume * share)
             state.residual_fwd[flow.flow_id] = fwd
             state.residual_back[flow.flow_id] = back
             state.path_routers[flow.flow_id] = path
             state.path_flits[flow.flow_id] = volume * share
-        state.base_rtt += pkt_flits * self.config.topology.cycles_per_flit
+            flows.append(flow)
 
-        message.minimal_packets = round(message.num_packets * minimal_weight)
+        message.minimal_packets = round(message.num_packets * plan.minimal_weight)
         message.nonminimal_packets = message.num_packets - message.minimal_packets
-
-        for flow, _path, _minimal, _fwd, _back in entries:
-            # Clear the solo-solve rate: the deferred global re-solve sets
-            # the real one, and _advance_progress must not drain a brand-new
-            # flow over the idle interval that preceded its existence.
-            flow.rate = 0.0
+        # The flows join at rate 0: the deferred global re-solve sets the
+        # real one, and _advance_progress must not drain a brand-new flow
+        # over the idle interval that preceded its existence.
+        for flow in flows:
             self._add_flow(flow)
         return message
 

@@ -25,7 +25,7 @@ from repro.routing.bias import bias_for_mode
 from repro.routing.modes import RoutingMode
 from repro.telemetry.probes import PROBES
 from repro.topology.dragonfly import DragonflyTopology
-from repro.topology.paths import PathSampler, hop_count_minimal
+from repro.topology.paths import PathSampler
 
 Path = Tuple[int, ...]
 #: Returns the Link object carrying traffic from the first to the second router.

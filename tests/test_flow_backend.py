@@ -18,8 +18,13 @@ explicit bounds rather than exactly:
 
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 
+import repro.model.flow.network as flow_network
+import repro.topology.paths as paths_module
 from repro.campaign.executor import scale_for
 from repro.campaign.plan import RunSpec
 from repro.campaign.store import ArtifactStore
@@ -32,7 +37,7 @@ from repro.model import (
     available_backends,
     build_network_model,
 )
-from repro.model.flow.network import FlowNetwork
+from repro.model.flow.network import FlowNetwork, RouteTable
 from repro.model.flow.solver import FairShareSolver, FlowState
 from repro.mpi.job import MpiJob
 from repro.network.network import Network
@@ -509,3 +514,160 @@ class TestFlowEngine:
             return times
 
         assert run() == run()
+
+
+# -- shared path tables and route plans -------------------------------------------
+
+
+def _empty_tables(monkeypatch) -> None:
+    """Swap in empty process-wide path tables and route plans."""
+    monkeypatch.setattr(paths_module, "_TABLES", {})
+    monkeypatch.setattr(flow_network, "_ROUTE_TABLES", {})
+
+
+@pytest.fixture
+def cold_tables(monkeypatch):
+    _empty_tables(monkeypatch)
+
+
+def _flow_small(**nic) -> SimulationConfig:
+    config = SimulationConfig.small().with_backend("flow")
+    return dataclasses.replace(config, nic=dataclasses.replace(config.nic, **nic))
+
+
+def _congested_waves(network, waves: int):
+    """Waves of 64 KiB ADAPTIVE_0 group-0 -> group-1 messages, congested
+    enough that some take Valiant detours; returns every message."""
+    rng = random.Random(5)
+    per_group = network.num_nodes // network.config.topology.num_groups
+    messages = []
+    for _ in range(waves):
+        for _ in range(40):
+            src = rng.randrange(per_group)
+            dst = per_group + rng.randrange(per_group)
+            messages.append(network.send(src, dst, 65536, routing_mode=RoutingMode.ADAPTIVE_0))
+        network.run_until_idle()
+    return messages
+
+
+class TestRoutePlans:
+    """A message's route plan is shared by every FlowNetwork of one
+    (topology, NIC) configuration; no result may depend on how warm it is."""
+
+    MODES = (RoutingMode.ADAPTIVE_0, RoutingMode.ADAPTIVE_3, RoutingMode.MIN_HASH,
+             RoutingMode.IN_ORDER, RoutingMode.NMIN_HASH)
+
+    def _run_sequence(self, config, size_seed):
+        """A fixed set of node pairs and modes; ``size_seed`` picks the
+        sizes, and with them the packet sizes plans are keyed by."""
+        network = FlowNetwork(config)
+        rng = random.Random(11)
+        sizes = random.Random(size_seed)
+        messages = []
+        for wave in range(3):
+            for i in range(30):
+                src, dst = rng.sample(range(network.num_nodes), 2)
+                size = sizes.choice((16, 32, 48, 64, 1000, 65536))
+                mode = self.MODES[(wave + i) % len(self.MODES)]
+                messages.append(network.send(src, dst, size, routing_mode=mode))
+            network.run_until_idle()
+        messages += _congested_waves(network, waves=1)
+        timeline = [
+            (m.src_node, m.dst_node, m.delivered_time, m.acked_time,
+             m.minimal_packets, m.nonminimal_packets)
+            for m in messages
+        ]
+        counters = [dataclasses.asdict(nic.counters.snapshot()) for nic in network.nics]
+        return timeline, counters
+
+    def test_cold_and_warm_tables_give_identical_runs(self, cold_tables, monkeypatch):
+        config = _flow_small()
+        cold = self._run_sequence(config, size_seed=11)
+        timeline, _ = cold
+        assert any(minimal and nonminimal for *_, minimal, nonminimal in timeline)
+        assert any(not minimal for *_, minimal, _ in timeline)  # NMIN_HASH
+        # Empty tables again, warmed first by the same pairs at other sizes.
+        _empty_tables(monkeypatch)
+        self._run_sequence(config, size_seed=12)
+        assert self._run_sequence(config, size_seed=11) == cold
+
+    def test_repeated_minimal_sends_solve_once(self, cold_tables, monkeypatch):
+        solves = []
+        solve = FairShareSolver.solve
+
+        def counting(self, flows):
+            solves.append(1)
+            return solve(self, flows)
+
+        monkeypatch.setattr(FairShareSolver, "solve", counting)
+        config = _flow_small()
+        for _ in range(2):  # a second network reuses the first one's plan
+            network = FlowNetwork(config)
+            for mode in (RoutingMode.ADAPTIVE_3, RoutingMode.MIN_HASH, RoutingMode.ADAPTIVE_0):
+                message = network.send(0, network.num_nodes - 1, 4096, routing_mode=mode)
+                network.run_until_idle()
+                assert message.nonminimal_packets == 0
+        assert len(solves) == 1
+
+    def test_nic_configs_get_separate_plans(self, cold_tables, monkeypatch):
+        wide, narrow = _flow_small(), _flow_small(max_outstanding_packets=2)
+
+        def acked(config):
+            network = FlowNetwork(config)
+            message = network.send(0, network.num_nodes - 1, 65536,
+                                   routing_mode=RoutingMode.MIN_HASH)
+            network.run_until_idle()
+            return message.acked_time
+
+        narrow_cold = acked(narrow)
+        _empty_tables(monkeypatch)
+        wide_time = acked(wide)
+        assert acked(narrow) == narrow_cold > wide_time
+        (key, wide_plan), = RouteTable.of(wide).plans.items()
+        (narrow_key, narrow_plan), = RouteTable.of(narrow).plans.items()
+        assert key == narrow_key
+        assert [r[2] for r in narrow_plan.routes] < [r[2] for r in wide_plan.routes]
+
+
+class TestSharedTableGrowth:
+    """Tables hold only what the topology decides: one entry per router
+    pair, one plan per whole minimal spread and packet size, and never a
+    Valiant path or a random sample (that space grows with every message)."""
+
+    def test_detours_and_samples_are_never_stored(self, cold_tables):
+        config = _flow_small()
+        network = FlowNetwork(config)
+        paths = network.sampler.table
+        routes = RouteTable.of(config)
+        routers = network.num_routers
+        rng = random.Random(3)
+        for _ in range(1000):
+            network.sampler.nonminimal(rng.randrange(routers), rng.randrange(routers))
+        messages = _congested_waves(network, waves=8)
+        assert sum(1 for m in messages if m.nonminimal_packets) >= 50
+        # A pair with more minimal paths than one message spreads over: its
+        # spread is a random sample each time.
+        src, dst = next(
+            (a, b) for a in range(routers) for b in range(routers)
+            if len(paths.all_minimal(a, b)) > flow_network._MAX_SPREAD
+        )
+        per_router = config.topology.nodes_per_router
+        for _ in range(20):
+            network.send(src * per_router, dst * per_router, 4096,
+                         routing_mode=RoutingMode.MIN_HASH)
+        network.run_until_idle()
+
+        for table in (paths.options, paths.hops, paths.shortest):
+            assert all(0 <= key < routers * routers for key in table)
+        for path in routes.fabric:
+            assert path in paths.all_minimal(path[0], path[-1])
+        links = {(link.src, link.dst) for link in network.topology.all_links()}
+        assert {(a, b) for _, a, b in routes.links.values()} <= links
+        pairs = set()
+        for (spread, _), plan in routes.plans.items():
+            pair = (spread[0][0], spread[0][-1])
+            assert spread == paths.all_minimal(*pair)
+            assert tuple(route[0] for route in plan.routes) == spread
+            pairs.add(pair)
+        assert (src, dst) not in pairs
+        assert len(routes.plans) <= len(pairs) * len({pkt for _, pkt in routes.plans})

@@ -16,7 +16,8 @@ from repro.topology.geometry import (
     nodes_of_router,
     router_of_node,
 )
-from repro.topology.paths import PathSampler, hop_count_minimal
+import repro.topology.paths as paths_module
+from repro.topology.paths import PathSampler, PathTable, hop_count_minimal
 
 
 class TestGeometry:
@@ -329,6 +330,69 @@ class TestPathSampler:
                         sampler.validate_path((a, b))
                     return
         pytest.skip("no non-adjacent inter-group pair found")
+
+
+class TestSharedPathTable:
+    """Samplers share one lazily filled PathTable per TopologyConfig; how
+    warm it is must never change what a seeded sampler draws."""
+
+    CONFIGS = (
+        TopologyConfig.tiny(),  # two groups: the two-group detour
+        TopologyConfig(num_groups=5, chassis_per_group=2, blades_per_chassis=3,
+                       nodes_per_router=1),
+    )
+
+    @staticmethod
+    def _pairs(config, seed):
+        routers = range(config.num_routers)
+        pairs = [(a, b) for a in routers for b in routers]
+        random.Random(seed).shuffle(pairs)
+        return pairs
+
+    @staticmethod
+    def _draws(config, pairs):
+        sampler = PathSampler(DragonflyTopology(config), random.Random(42))
+        draws = []
+        for a, b in pairs:
+            draws.append(sampler.minimal(a, b))
+            draws.append(sampler.nonminimal(a, b))
+            draws.append(sampler.minimal_hops(a, b))
+            draws.append(sampler.minimal(b, a))
+        return draws
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["two-groups", "five-groups"])
+    def test_cold_and_warm_tables_draw_identically(self, config, monkeypatch):
+        pairs = self._pairs(config, seed=1)
+        monkeypatch.setattr(paths_module, "_TABLES", {})
+        cold = self._draws(config, pairs)
+        # Another sampler fills a fresh table in a different pair order
+        # (and with its own random stream) before the same draws repeat.
+        monkeypatch.setattr(paths_module, "_TABLES", {})
+        filler = PathSampler(DragonflyTopology(config), random.Random(7))
+        for a, b in reversed(pairs):
+            filler.nonminimal(a, b)
+            filler.all_minimal(a, b)
+            filler.minimal_hops(a, b)
+        assert self._draws(config, pairs) == cold
+
+    def test_one_table_per_topology_config(self, monkeypatch):
+        monkeypatch.setattr(paths_module, "_TABLES", {})
+        small, tiny = TopologyConfig(), TopologyConfig.tiny()
+        a = PathSampler(DragonflyTopology(small), random.Random(1))
+        b = PathSampler(DragonflyTopology(small), random.Random(2))
+        c = PathSampler(DragonflyTopology(tiny), random.Random(1))
+        assert a.table is b.table is PathTable.of(DragonflyTopology(small))
+        assert c.table is not a.table
+
+    def test_all_minimal_returns_a_fresh_list(self, small_topology):
+        sampler = PathSampler(small_topology, random.Random(7))
+        dst = small_topology.num_routers - 1
+        first = sampler.all_minimal(0, dst)
+        expected = list(first)
+        first.clear()
+        second = sampler.all_minimal(0, dst)
+        assert second == expected and second is not first
+        assert sampler.all_minimal(5, 5) == [(5,)]
 
 
 @given(
