@@ -1,9 +1,11 @@
 """Shared infrastructure for the figure and report scripts in ``benchmarks/``.
 
 Most scripts regenerate one table or figure of the paper and print its
-rows/series; ``pytest benchmarks/ -s`` shows them live, and they are also
-written to ``benchmarks/results/``.  The tests take pytest-benchmark's
-``benchmark`` fixture, so ``pytest benchmarks/`` needs the
+rows/series; ``pytest benchmarks/bench_fig8_microbenchmarks.py -s`` shows
+them live, and they are also written to ``benchmarks/results/``.  pytest
+collects these ``bench_*.py`` files only when named on the command line
+(the README lists all of them).  The tests take pytest-benchmark's
+``benchmark`` fixture, so running them needs the
 ``pytest-benchmark`` plugin installed; ``pyproject.toml`` does not declare
 it.  Simulator speed is measured by ``perfbench/``, not here.
 

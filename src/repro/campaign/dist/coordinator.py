@@ -40,8 +40,9 @@ from repro.campaign.dist.worker import DEFAULT_HEARTBEAT_S
 from repro.campaign.executor import CampaignResult, ProgressFn, RunRecord, run_audits
 from repro.campaign.plan import CampaignPlan, RunSpec
 from repro.campaign.store import ArtifactStore
-from repro.telemetry.core import TELEMETRY, TELEMETRY_ENV_VAR
+from repro.telemetry.core import TELEMETRY
 from repro.telemetry.log import get_logger, log_event
+from repro.telemetry.probes import PROBES
 
 import logging
 
@@ -75,14 +76,6 @@ class DistOptions:
     preload: Optional[str] = None
     #: Extra environment for spawned workers (merged over the parent's).
     extra_env: Optional[Mapping[str, str]] = None
-    #: Enable network probes in spawned workers (same inheritance channel
-    #: as telemetry: probes activate per-process at import time, so the
-    #: request must travel through the worker environment).
-    probes: bool = False
-    #: Probe sampling interval in sim cycles (``None`` keeps the default).
-    probe_interval: Optional[int] = None
-    #: Routing-decision audit sample rate in [0, 1] (``None`` = default).
-    probe_decision_rate: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.transport not in TRANSPORTS:
@@ -102,16 +95,6 @@ class DistOptions:
             raise ValueError("max_leases must be >= 1")
         if self.batch_results < 1:
             raise ValueError("batch_results must be >= 1")
-        if self.probe_interval is not None and self.probe_interval < 1:
-            raise ValueError("probe_interval must be >= 1")
-        if self.probe_decision_rate is not None and not (
-            0.0 <= self.probe_decision_rate <= 1.0
-        ):
-            raise ValueError("probe_decision_rate must be within [0, 1]")
-        if (
-            self.probe_interval is not None or self.probe_decision_rate is not None
-        ) and not self.probes:
-            raise ValueError("probe_interval/probe_decision_rate require probes=True")
 
 
 @dataclass
@@ -184,6 +167,9 @@ class Coordinator:
         # Session telemetry: shard lease->first-result->done timelines,
         # heartbeat-gap distribution, revocation count, journal flush cost.
         self._telemetry_on = TELEMETRY.enabled
+        # Every lease carries this process's switches, so each worker runs
+        # its cells traced and probed exactly as the coordinator is.
+        self._probes_on = PROBES.enabled
         self._timelines: List[Dict] = []
         self._heartbeat_gaps: List[float] = []
         self._revocations = 0
@@ -294,24 +280,6 @@ class Coordinator:
 
         env = dict(os.environ)
         env.update(self.options.extra_env or {})
-        if self._telemetry_on:
-            # Telemetry is enabled per-process at import time; spawned
-            # workers inherit the request through the environment.
-            env[TELEMETRY_ENV_VAR] = "1"
-        if self.options.probes:
-            from repro.telemetry.probes import (
-                PROBE_DECISION_RATE_ENV_VAR,
-                PROBE_INTERVAL_ENV_VAR,
-                PROBES_ENV_VAR,
-            )
-
-            env[PROBES_ENV_VAR] = "1"
-            if self.options.probe_interval is not None:
-                env[PROBE_INTERVAL_ENV_VAR] = str(self.options.probe_interval)
-            if self.options.probe_decision_rate is not None:
-                env[PROBE_DECISION_RATE_ENV_VAR] = str(
-                    self.options.probe_decision_rate
-                )
         # The worker runs `-m repro.experiments.cli`, so the child must be
         # able to import repro even when the parent got it from a path
         # pytest/pyproject injected into *this* process only (uninstalled
@@ -512,6 +480,8 @@ class Coordinator:
                     "type": "lease",
                     "shard": shard.shard_id,
                     "specs": [spec.to_wire() for spec in shard.specs],
+                    "trace": self._telemetry_on,
+                    "probes": self._probes_on,
                 }
             )
         except (OSError, ValueError):

@@ -14,7 +14,9 @@ Message vocabulary (all coordinator/worker traffic):
 type              direction  meaning
 ================  =========  =================================================
 ``hello``         w -> c     worker announces itself (name, pid, host)
-``lease``         c -> w     a shard to execute: id + serialized specs
+``lease``         c -> w     a shard to execute: id + serialized specs,
+                             plus the coordinator's ``trace`` and
+                             ``probes`` switches (booleans)
 ``result``        w -> c     one finished cell (payload/report/elapsed/error)
 ``result_batch``  w -> c     several finished cells in one frame: a
                              ``results`` list whose entries are ``result``
@@ -25,12 +27,17 @@ type              direction  meaning
 ``shutdown``      c -> w     no more work; the worker exits its serve loop
 ================  =========  =================================================
 
-When telemetry is enabled (``REPRO_TELEMETRY``), ``result`` frames carry an
-optional ``telemetry`` dict (the cell's span/phase snapshot, merged by the
-coordinator into the store's index entry) and ``shard_done`` frames an
-optional worker-process aggregate under the same key.  Both fields are
-additive: receivers that predate them ignore unknown keys, so mixed-version
-fleets interoperate.
+A worker sets its own tracing and probes to a lease's ``trace`` and
+``probes`` values before running the shard, so every worker, however it was
+started, runs its cells under the coordinator's switches; a lease without
+them (an older coordinator) leaves the worker's environment defaults
+(``REPRO_TELEMETRY``/``REPRO_PROBES``) in force.  With ``trace`` on,
+``result`` frames carry an optional ``telemetry`` dict (the cell's
+span/phase snapshot, merged by the coordinator into the store's index
+entry) and ``shard_done`` frames an optional worker-process aggregate under
+the same key; with ``probes`` on, ``result`` frames carry the cell's probe
+sidecar under ``probes``.  All of these fields are additive: receivers that
+predate them ignore unknown keys, so mixed-version fleets interoperate.
 
 Run specs travel as their wire form (:meth:`repro.campaign.plan.
 RunSpec.to_wire`), so a worker needs nothing but the scenario registry to

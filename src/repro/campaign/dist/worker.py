@@ -11,6 +11,11 @@ so short that framing dominates (sub-millisecond audit or smoke cells),
 ``batch_results`` trades that immediacy for throughput by buffering up to
 N records into one ``result_batch`` frame.
 
+Each lease carries the coordinator's ``trace``/``probes`` switches and the
+worker applies them (:func:`repro.telemetry.core.set_instrumentation`)
+before the shard's cells, so a worker started by hand on another host
+records exactly what a spawned one does.
+
 Liveness is a background heartbeat: while a shard is leased, a daemon
 thread pings the coordinator every ``heartbeat_s`` so a long-running cell
 is distinguishable from a dead worker.  Scenario code that prints to
@@ -28,8 +33,9 @@ from typing import Optional
 
 from repro.campaign.dist.protocol import Channel, ProtocolError
 from repro.campaign.plan import RunSpec
-from repro.telemetry.core import TELEMETRY, snapshot_of
+from repro.telemetry.core import TELEMETRY, set_instrumentation, snapshot_of
 from repro.telemetry.log import get_logger, log_event
+from repro.telemetry.probes import PROBES
 
 #: Default liveness ping interval (seconds).  Must be well under the
 #: coordinator's lease timeout; see DistOptions.lease_timeout_s.
@@ -120,6 +126,12 @@ def serve_channel(
                 )
             shard_id = int(message["shard"])
             specs = [RunSpec.from_wire(form) for form in message["specs"]]
+            # A lease without the keys comes from an older coordinator:
+            # keep this process's own (environment-given) switches.
+            set_instrumentation(
+                bool(message.get("trace", TELEMETRY.enabled)),
+                bool(message.get("probes", PROBES.enabled)),
+            )
             log(f"[{name}] leased shard {shard_id} ({len(specs)} cell(s))")
             heartbeat.watch(shard_id)
             buffered: list = []

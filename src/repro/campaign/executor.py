@@ -36,8 +36,7 @@ from repro.campaign.plan import CampaignPlan, RunSpec, scale_for  # noqa: F401
 from repro.campaign.registry import ScenarioError, get_scenario
 from repro.campaign.router import select_audit_pairs
 from repro.campaign.store import ArtifactStore, max_abs_rel_delta
-from repro.telemetry.core import TELEMETRY, capture, timed
-from repro.telemetry.probes import probe_capture
+from repro.telemetry.core import capture, timed
 
 
 @dataclass
@@ -327,7 +326,7 @@ def _run_audit_twin(flow_spec: RunSpec, twin: RunSpec) -> RunRecord:
     """
     from repro.campaign import ensure_builtin_scenarios
 
-    with capture() as cap, probe_capture() as pcap:
+    with capture() as cap:
         try:
             ensure_builtin_scenarios()
             scenario = get_scenario(twin.scenario)
@@ -345,7 +344,7 @@ def _run_audit_twin(flow_spec: RunSpec, twin: RunSpec) -> RunRecord:
         report=report,
         elapsed_s=t.elapsed,
         telemetry=cap.snapshot(),
-        probes=pcap.snapshot(),
+        probes=cap.probe_snapshot(),
     )
 
 
@@ -358,7 +357,7 @@ def run_cell(spec: RunSpec) -> RunRecord:
     outcome is identical no matter which execution substrate ran it.  Must
     stay importable at module level (pool pickling under ``spawn``).
     """
-    with capture() as cap, probe_capture() as pcap:
+    with capture() as cap:
         try:
             payload, report, elapsed = execute_spec(spec)
         except ScenarioError as exc:
@@ -380,7 +379,7 @@ def run_cell(spec: RunSpec) -> RunRecord:
         report=report,
         elapsed_s=elapsed,
         telemetry=cap.snapshot(),
-        probes=pcap.snapshot(),
+        probes=cap.probe_snapshot(),
     )
 
 

@@ -251,7 +251,8 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         help="enable telemetry for this campaign: per-cell phase/span "
         "snapshots land in the store next to elapsed_s (export with "
         "'repro campaign trace', aggregate with 'status --timings'); "
-        "propagates to pool and distributed workers via REPRO_TELEMETRY",
+        "reaches pool and distributed workers, external ones included "
+        "(default: on when REPRO_TELEMETRY is set)",
     )
     run.add_argument(
         "--probes",
@@ -259,24 +260,10 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         help="enable the network flight recorder: per-link-class occupancy "
         "time series and a seeded sample of UGAL routing decisions land as "
         "probes/<hash>.json sidecars in the store (analyze with 'repro "
-        "campaign probe'); result payloads stay byte-identical; propagates "
-        "to pool and distributed workers via REPRO_PROBES",
-    )
-    run.add_argument(
-        "--probe-interval",
-        type=int,
-        default=None,
-        metavar="CYCLES",
-        help="probe sampling interval in sim cycles (default: 256; "
-        "requires --probes)",
-    )
-    run.add_argument(
-        "--probe-decision-rate",
-        type=float,
-        default=None,
-        metavar="F",
-        help="fraction of UGAL decisions to audit, in [0, 1] "
-        "(default: 0.02; requires --probes)",
+        "campaign probe'); samples every 256 cycles and audits 2%% of "
+        "decisions; result payloads stay byte-identical; reaches pool and "
+        "distributed workers, external ones included (default: on when "
+        "REPRO_PROBES is set)",
     )
 
     lst = sub.add_parser("list", help="list registered scenarios")
@@ -762,41 +749,14 @@ def campaign_main(argv: Optional[Sequence[str]] = None) -> int:
     audit_fraction = args.audit_fraction
     if audit_fraction is None:
         audit_fraction = 0.1 if args.backend == "auto" else 0.0
-    if args.probe_interval is not None and args.probe_interval < 1:
-        parser.error("--probe-interval must be >= 1")
-    if args.probe_decision_rate is not None and not (
-        0.0 <= args.probe_decision_rate <= 1.0
-    ):
-        parser.error("--probe-decision-rate must be within [0, 1]")
-    if (
-        args.probe_interval is not None or args.probe_decision_rate is not None
-    ) and not args.probes:
-        parser.error("--probe-interval/--probe-decision-rate require --probes")
-    if args.trace:
-        # Enable in this process (mutates the singleton pre-fork, so pool
-        # workers inherit it) and in the environment (spawned dist workers
-        # re-import with REPRO_TELEMETRY set).
-        from repro.telemetry import TELEMETRY_ENV_VAR, enable as telemetry_enable
+    from repro.telemetry import PROBES, TELEMETRY, set_instrumentation
 
-        os.environ[TELEMETRY_ENV_VAR] = "1"
-        telemetry_enable()
-    if args.probes:
-        # Same pre-fork + environment propagation story as --trace.
-        from repro.telemetry import (
-            PROBE_DECISION_RATE_ENV_VAR,
-            PROBE_INTERVAL_ENV_VAR,
-            PROBES_ENV_VAR,
-            enable_probes,
-        )
-
-        os.environ[PROBES_ENV_VAR] = "1"
-        if args.probe_interval is not None:
-            os.environ[PROBE_INTERVAL_ENV_VAR] = str(args.probe_interval)
-        if args.probe_decision_rate is not None:
-            os.environ[PROBE_DECISION_RATE_ENV_VAR] = str(args.probe_decision_rate)
-        enable_probes(
-            interval=args.probe_interval, decision_rate=args.probe_decision_rate
-        )
+    # The flags only switch on; without them the environment defaults, read
+    # at import, hold.  Set before the fork, the switches reach pool workers
+    # as they are; dist workers get them with every lease.
+    trace = args.trace or TELEMETRY.enabled
+    probes = args.probes or PROBES.enabled
+    set_instrumentation(trace, probes)
     store = None if args.no_store else ArtifactStore(args.store)
     # Audits alone need no router — they sample the plan at execute time.
     router = None
@@ -887,9 +847,6 @@ def campaign_main(argv: Optional[Sequence[str]] = None) -> int:
                 bind_host=host,
                 bind_port=port,
                 lease_timeout_s=args.lease_timeout,
-                probes=args.probes,
-                probe_interval=args.probe_interval,
-                probe_decision_rate=args.probe_decision_rate,
             )
         except ValueError as exc:
             parser.error(str(exc))
@@ -934,8 +891,8 @@ def campaign_main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"artifacts: {store.root}")
         if args.csv is not None:
             print(f"wrote {store.export_csv(args.csv)}")
-        if args.trace:
-            from repro.telemetry import TELEMETRY, snapshot_of
+        if trace:
+            from repro.telemetry import snapshot_of
 
             # Campaign-level phases (plan, the run loop's own spans) become a
             # session payload next to any dist-session telemetry.
@@ -950,7 +907,7 @@ def campaign_main(argv: Optional[Sequence[str]] = None) -> int:
                 f"'repro campaign trace --store {store.root}' exports the "
                 "Chrome trace, 'repro campaign status --timings' aggregates"
             )
-        if args.probes:
+        if probes:
             probed = sum(
                 1 for entry in store.index().values() if "probes" in entry
             )

@@ -116,11 +116,6 @@ class VectorizedFairShareEngine:
             self._members.append(set())
         return lid
 
-    @property
-    def known_links(self) -> int:
-        """Number of distinct links interned into the dense capacity table."""
-        return len(self._link_index)
-
     # -- membership --------------------------------------------------------
 
     def _alloc_slot(self) -> int:

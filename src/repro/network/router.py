@@ -102,16 +102,6 @@ class Router:
 
     # -- congestion probes ----------------------------------------------------
 
-    def output_queue_flits(self, neighbor_router: int) -> float:
-        """Instantaneous depth of the output queue towards a neighbor."""
-        return self.output_links[neighbor_router].local_congestion()
-
-    def busiest_output(self) -> float:
-        """Depth of the deepest output queue (diagnostics)."""
-        if not self.output_links:
-            return 0.0
-        return max(link.local_congestion() for link in self.output_links.values())
-
     @property
     def stalled_cycles(self) -> int:
         """Cumulative queue-wait cycles over this router's output links.

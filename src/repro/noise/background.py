@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence
 
@@ -71,12 +70,6 @@ def noise_nodes_for(
         max_nodes = max(4, min(2 * len(measured_nodes), 32))
     count = min(count, max_nodes, len(ordered))
     return ordered[:count]
-
-
-@dataclass
-class _SenderState:
-    node: int
-    peer: int
 
 
 class BackgroundTraffic:

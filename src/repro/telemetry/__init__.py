@@ -5,7 +5,10 @@ Three pieces, all stdlib-only:
 * :mod:`repro.telemetry.core` — the :data:`TELEMETRY` singleton with a
   span :class:`Tracer` and :class:`Metrics` registry; no-op unless
   enabled (``enable()`` or ``REPRO_TELEMETRY=1``) so instrumented hot
-  paths cost one attribute lookup when off.
+  paths cost one attribute lookup when off.  Its
+  :func:`set_instrumentation` is the one switch for tracing and network
+  probes (:mod:`repro.telemetry.probes`), and its :class:`capture` scopes
+  both to one campaign cell.
 * :mod:`repro.telemetry.log` — structured stderr logging
   (``REPRO_LOG=json|text``) used by the distributed runtime instead of
   stray prints.
@@ -26,6 +29,7 @@ from repro.telemetry.core import (
     disable,
     enable,
     env_enabled,
+    set_instrumentation,
     snapshot_of,
     timed,
 )
@@ -37,8 +41,6 @@ from repro.telemetry.log import (
     reset_logging,
 )
 from repro.telemetry.probes import (
-    PROBE_DECISION_RATE_ENV_VAR,
-    PROBE_INTERVAL_ENV_VAR,
     PROBES,
     PROBES_ENV_VAR,
     ProbeRecorder,
@@ -47,10 +49,7 @@ from repro.telemetry.probes import (
     RingSeries,
     disable_probes,
     enable_probes,
-    env_decision_rate,
-    env_probe_interval,
     env_probes_enabled,
-    probe_capture,
 )
 
 __all__ = [
@@ -60,8 +59,6 @@ __all__ = [
     "NULL_SPAN",
     "PROBES",
     "PROBES_ENV_VAR",
-    "PROBE_DECISION_RATE_ENV_VAR",
-    "PROBE_INTERVAL_ENV_VAR",
     "TELEMETRY",
     "TELEMETRY_ENV_VAR",
     "Metrics",
@@ -77,14 +74,12 @@ __all__ = [
     "disable_probes",
     "enable",
     "enable_probes",
-    "env_decision_rate",
     "env_enabled",
-    "env_probe_interval",
     "env_probes_enabled",
     "get_logger",
     "log_event",
     "reset_logging",
-    "probe_capture",
+    "set_instrumentation",
     "snapshot_of",
     "timed",
 ]

@@ -7,6 +7,9 @@ import time and still observe the current state.  When disabled (the
 default) every hot path pays exactly one attribute lookup
 (``TELEMETRY.enabled``) and allocates nothing: ``span()`` hands back a
 shared no-op singleton and the metrics registry swallows updates.
+:func:`set_instrumentation` flips it together with the network probes'
+:data:`~repro.telemetry.probes.PROBES`, and :class:`capture` scopes both
+to one unit of work.
 
 Spans nest lexically via ``with`` blocks and are recorded as Chrome
 ``trace_event``-shaped dicts (name/category/relative start/duration/args)
@@ -26,15 +29,22 @@ import os
 import time
 from typing import Any, Dict, List, Optional
 
+from repro.telemetry.probes import (
+    PROBES,
+    PROBES_ENV_VAR,
+    ProbeRecorder,
+    disable_probes,
+    enable_probes,
+)
+
 #: Maximum span events retained per capture; aggregates keep counting after.
 MAX_EVENTS = 512
 
 #: Maximum samples retained per histogram reservoir.
 MAX_HISTOGRAM_SAMPLES = 256
 
-#: Environment variable that force-enables telemetry at import time — this
-#: is how enablement propagates into pool workers and dist worker
-#: subprocesses, which re-import this module rather than sharing state.
+#: Environment variable that force-enables telemetry at import time: the
+#: process-wide default, which ``--trace`` and a dist lease override.
 TELEMETRY_ENV_VAR = "REPRO_TELEMETRY"
 
 
@@ -225,17 +235,44 @@ def disable() -> None:
     TELEMETRY.metrics = NULL_METRICS
 
 
-class capture:
-    """Context manager scoping a fresh tracer/metrics to one unit of work.
+def set_instrumentation(trace: bool, probes: bool) -> None:
+    """Turn tracing and network probes on or off for this process.
 
-    Only meaningful while telemetry is enabled; when disabled it is a
-    no-op and :meth:`snapshot` returns ``None``.  On exit the previous
-    tracer/metrics are restored, so captures nest (an audit twin inside a
-    cell gets its own snapshot without clobbering the cell's).
+    The one switch behind ``--trace`` and ``--probes``: the CLI calls it
+    once, and a distributed worker calls it with the state each lease
+    carries, so every cell of a campaign runs under the coordinator's
+    setting whoever started the worker.  A switch already in the requested
+    state is left alone, recorders included, so a repeated call does
+    nothing.  A flipped switch is also written to the environment, where
+    child processes started afterwards (``spawn`` pool workers) read it.
+    """
+    if trace != TELEMETRY.enabled:
+        if trace:
+            enable()
+        else:
+            disable()
+        os.environ[TELEMETRY_ENV_VAR] = "1" if trace else "0"
+    if probes != PROBES.enabled:
+        if probes:
+            enable_probes()
+        else:
+            disable_probes()
+        os.environ[PROBES_ENV_VAR] = "1" if probes else "0"
+
+
+class capture:
+    """Context manager scoping fresh recorders to one unit of work.
+
+    While telemetry is on it swaps in a fresh tracer/metrics pair, and
+    while probes are on a fresh :class:`~repro.telemetry.probes.
+    ProbeRecorder`; a switch that is off is left alone and its snapshot
+    is ``None``.  On exit the previous recorders are restored, so
+    captures nest (an audit twin inside a cell gets its own snapshots
+    without clobbering the cell's).
     """
 
     __slots__ = ("_prev_tracer", "_prev_metrics", "_tracer", "_metrics",
-                 "_active")
+                 "_active", "_prev_recorder", "_recorder")
 
     def __enter__(self) -> "capture":
         self._active = TELEMETRY.enabled
@@ -246,19 +283,31 @@ class capture:
             self._metrics = Metrics()
             TELEMETRY.tracer = self._tracer
             TELEMETRY.metrics = self._metrics
+        self._recorder = None
+        if PROBES.enabled:
+            self._prev_recorder = PROBES.recorder
+            self._recorder = PROBES.recorder = ProbeRecorder()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         if self._active:
             TELEMETRY.tracer = self._prev_tracer
             TELEMETRY.metrics = self._prev_metrics
+        if self._recorder is not None:
+            PROBES.recorder = self._prev_recorder
         return False
 
     def snapshot(self) -> Optional[Dict[str, Any]]:
-        """Compact dict of everything captured, or None when disabled."""
+        """Compact dict of everything traced, or None when telemetry is off."""
         if not self._active:
             return None
         return snapshot_of(self._tracer, self._metrics)
+
+    def probe_snapshot(self) -> Optional[Dict[str, Any]]:
+        """Probe sidecar of everything sampled, or None when probes are off."""
+        if self._recorder is None:
+            return None
+        return self._recorder.snapshot()
 
 
 def snapshot_of(tracer: Tracer, metrics: Metrics) -> Dict[str, Any]:

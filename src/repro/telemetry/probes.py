@@ -11,16 +11,21 @@ The design mirrors :mod:`repro.telemetry.core` deliberately:
 
 * one module-level singleton, :data:`PROBES`, *mutated* (never rebound)
   by :func:`enable_probes` / :func:`disable_probes`, so hot paths cache a
-  reference at import time and still observe the current state;
+  reference at import time and still observe the current state
+  (:func:`repro.telemetry.core.set_instrumentation` is the one switch
+  that flips it together with tracing);
 * a zero-allocation disabled fast path — when off, the only cost is one
   attribute lookup (``PROBES.enabled``) at decision sites and one
   ``is not None`` check per event in the sim engines (the
   ``probe_hook`` slot stays ``None``);
-* ``REPRO_PROBES`` (plus ``REPRO_PROBE_INTERVAL`` and
-  ``REPRO_PROBE_DECISION_RATE``) force-enable at import time, which is
-  how enablement propagates into pool and dist worker subprocesses;
-* :class:`probe_capture` scopes a fresh recorder to one campaign cell
-  and restores the previous one on exit, so captures nest.
+* ``REPRO_PROBES`` force-enables at import time: the process-wide
+  default, which the ``--probes`` flag and a dist lease override;
+* :class:`repro.telemetry.core.capture` scopes a fresh recorder to one
+  campaign cell and restores the previous one on exit, so captures nest.
+
+Samples are taken every :data:`INTERVAL` cycles and :data:`DECISION_RATE`
+of the adaptive decisions are audited; neither is configurable, and both
+are written into every sidecar.
 
 Memory is bounded everywhere: each series is a ring that decimates
 (drop every other point, double the accept stride) once it hits
@@ -40,11 +45,11 @@ import os
 import random
 from typing import Any, Dict, List, Optional, Tuple
 
-#: Default sampling interval in simulator cycles.
-DEFAULT_INTERVAL = 256
+#: Sampling interval in simulator cycles.
+INTERVAL = 256
 
-#: Default fraction of adaptive routing decisions sampled into the audit.
-DEFAULT_DECISION_RATE = 0.02
+#: Fraction of adaptive routing decisions sampled into the audit.
+DECISION_RATE = 0.02
 
 #: Maximum points per series before decimation halves the resolution.
 MAX_POINTS = 512
@@ -57,10 +62,8 @@ MAX_DECISIONS = 256
 #: simulation's own random streams.
 DECISION_SEED = 0x5EED5
 
-#: Environment variables mirroring ``REPRO_TELEMETRY`` semantics.
+#: Environment variable mirroring ``REPRO_TELEMETRY`` semantics.
 PROBES_ENV_VAR = "REPRO_PROBES"
-PROBE_INTERVAL_ENV_VAR = "REPRO_PROBE_INTERVAL"
-PROBE_DECISION_RATE_ENV_VAR = "REPRO_PROBE_DECISION_RATE"
 
 
 def env_probes_enabled(environ: Optional[Dict[str, str]] = None) -> bool:
@@ -68,35 +71,6 @@ def env_probes_enabled(environ: Optional[Dict[str, str]] = None) -> bool:
     env = os.environ if environ is None else environ
     value = env.get(PROBES_ENV_VAR, "").strip().lower()
     return value not in ("", "0", "false", "no", "off")
-
-
-def env_probe_interval(environ: Optional[Dict[str, str]] = None) -> Optional[int]:
-    """Sampling interval from ``REPRO_PROBE_INTERVAL``, or None if unset."""
-    env = os.environ if environ is None else environ
-    value = env.get(PROBE_INTERVAL_ENV_VAR, "").strip()
-    if not value:
-        return None
-    interval = int(value)
-    if interval < 1:
-        raise ValueError(
-            f"{PROBE_INTERVAL_ENV_VAR} must be a positive cycle count, "
-            f"got {interval}"
-        )
-    return interval
-
-
-def env_decision_rate(environ: Optional[Dict[str, str]] = None) -> Optional[float]:
-    """Decision-sample rate from ``REPRO_PROBE_DECISION_RATE`` (0..1)."""
-    env = os.environ if environ is None else environ
-    value = env.get(PROBE_DECISION_RATE_ENV_VAR, "").strip()
-    if not value:
-        return None
-    rate = float(value)
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(
-            f"{PROBE_DECISION_RATE_ENV_VAR} must be in [0, 1], got {rate}"
-        )
-    return rate
 
 
 class RingSeries:
@@ -169,19 +143,11 @@ class ProbeRecorder:
                  "decisions_seen", "decisions_sampled", "flips", "backend",
                  "max_points", "max_decisions", "_rng")
 
-    def __init__(self, interval: int = DEFAULT_INTERVAL,
-                 decision_rate: float = DEFAULT_DECISION_RATE,
-                 seed: int = DECISION_SEED,
+    def __init__(self, seed: int = DECISION_SEED,
                  max_points: int = MAX_POINTS,
                  max_decisions: int = MAX_DECISIONS):
-        if interval < 1:
-            raise ValueError(f"probe interval must be >= 1, got {interval}")
-        if not 0.0 <= decision_rate <= 1.0:
-            raise ValueError(
-                f"decision rate must be in [0, 1], got {decision_rate}"
-            )
-        self.interval = interval
-        self.decision_rate = decision_rate
+        self.interval = INTERVAL
+        self.decision_rate = DECISION_RATE
         self.max_points = max_points
         self.max_decisions = max_decisions
         #: (metric, cls, group) -> RingSeries
@@ -247,12 +213,9 @@ class ProbeSampler:
 
     __slots__ = ("recorder", "interval", "next_due")
 
-    def __init__(self, recorder: ProbeRecorder,
-                 interval: Optional[int] = None):
+    def __init__(self, recorder: ProbeRecorder):
         self.recorder = recorder
-        self.interval = recorder.interval if interval is None else int(interval)
-        if self.interval < 1:
-            raise ValueError(f"probe interval must be >= 1, got {self.interval}")
+        self.interval = recorder.interval
         # First sample fires at the first time advance, anchoring t=0-ish
         # state; afterwards the grid aligns to multiples of the interval.
         self.next_due = 0
@@ -269,37 +232,19 @@ class ProbeSampler:
 class Probes:
     """The mutable singleton: fields swap, identity never changes."""
 
-    __slots__ = ("enabled", "recorder", "interval", "decision_rate")
+    __slots__ = ("enabled", "recorder")
 
     def __init__(self) -> None:
         self.enabled = False
         self.recorder: Optional[ProbeRecorder] = None
-        self.interval = DEFAULT_INTERVAL
-        self.decision_rate = DEFAULT_DECISION_RATE
 
 
 PROBES = Probes()
 
 
-def enable_probes(interval: Optional[int] = None,
-                  decision_rate: Optional[float] = None) -> None:
-    """Turn probes on with a fresh recorder.
-
-    ``interval``/``decision_rate`` update the sticky defaults used by
-    subsequent :class:`probe_capture` scopes; omitted values keep the
-    current configuration.
-    """
-    if interval is not None:
-        if interval < 1:
-            raise ValueError(f"probe interval must be >= 1, got {interval}")
-        PROBES.interval = int(interval)
-    if decision_rate is not None:
-        if not 0.0 <= decision_rate <= 1.0:
-            raise ValueError(
-                f"decision rate must be in [0, 1], got {decision_rate}"
-            )
-        PROBES.decision_rate = float(decision_rate)
-    PROBES.recorder = ProbeRecorder(PROBES.interval, PROBES.decision_rate)
+def enable_probes() -> None:
+    """Turn probes on with a fresh recorder."""
+    PROBES.recorder = ProbeRecorder()
     PROBES.enabled = True
 
 
@@ -309,37 +254,5 @@ def disable_probes() -> None:
     PROBES.recorder = None
 
 
-class probe_capture:
-    """Scope a fresh :class:`ProbeRecorder` to one unit of work.
-
-    No-op while probes are disabled (:meth:`snapshot` returns ``None``).
-    On exit the previous recorder is restored, so captures nest — an
-    audit twin inside a cell gets its own recorder without clobbering
-    the cell's.
-    """
-
-    __slots__ = ("_prev", "_recorder", "_active")
-
-    def __enter__(self) -> "probe_capture":
-        self._active = PROBES.enabled
-        if self._active:
-            self._prev = PROBES.recorder
-            self._recorder = ProbeRecorder(PROBES.interval,
-                                           PROBES.decision_rate)
-            PROBES.recorder = self._recorder
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if self._active:
-            PROBES.recorder = self._prev
-        return False
-
-    def snapshot(self) -> Optional[Dict[str, Any]]:
-        """Sidecar-shaped dict of everything recorded, or None when off."""
-        if not self._active:
-            return None
-        return self._recorder.snapshot()
-
-
 if env_probes_enabled():  # pragma: no cover - exercised via subprocess tests
-    enable_probes(env_probe_interval(), env_decision_rate())
+    enable_probes()

@@ -237,11 +237,6 @@ class DragonflyTopology:
             self.blade_of_router[router_id],
         )
 
-    def routers_in_group(self, group: int) -> range:
-        """Flat router ids of a group."""
-        rpg = self.config.routers_per_group
-        return range(group * rpg, (group + 1) * rpg)
-
     def all_links(self) -> List[LinkId]:
         """Every directed router-to-router link in the system."""
         links: List[LinkId] = []

@@ -9,10 +9,12 @@ SIGKILL actual worker processes mid-shard.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
 import signal
+import subprocess
 import sys
 import threading
 
@@ -42,6 +44,7 @@ from repro.campaign.router import CellCost
 from repro.experiments.cli import _parse_bind, campaign_main
 from repro.model.cost import CostEstimate
 from repro.sim.rng import RandomStreams
+from repro.telemetry import disable, disable_probes, enable, enable_probes
 
 # -- the worker-visible scenario module ---------------------------------------------
 
@@ -151,6 +154,70 @@ def _options(workers=2, transport="local", **kwargs):
     kwargs.setdefault("lease_timeout_s", 2.0)
     kwargs.setdefault("preload", _SLEEPY_MODULE)
     return DistOptions(workers=workers, transport=transport, **kwargs)
+
+
+@contextlib.contextmanager
+def _traced_and_probed():
+    """Tracing and probes on in this (the coordinator's) process."""
+    enable()
+    enable_probes()
+    try:
+        yield
+    finally:
+        disable()
+        disable_probes()
+
+
+def _plain_store(plan, root):
+    """The plan run serially with tracing and probes off: the reference."""
+    store = ArtifactStore(root)
+    assert execute_plan(plan, store=store, workers=1).failed == 0
+    return store
+
+
+def _assert_traced_and_probed(root, plan, plain):
+    """Every cell stored telemetry and a probe sidecar, payload untouched."""
+    store = ArtifactStore(root)
+    index = store.index()
+    for spec in plan:
+        assert "telemetry" in index[spec.spec_hash()], spec.label()
+        assert store.has_probes(spec), spec.label()
+        assert (
+            store.result_path(spec).read_bytes()
+            == plain.result_path(spec).read_bytes()
+        ), f"instrumentation changed the payload of {spec.label()}"
+
+
+def _serve_with_external_worker(coordinator, env):
+    """Run a listen-only coordinator against one CLI-started worker.
+
+    Returns the campaign result and the worker's exit status.
+    """
+    host, port = coordinator.address
+    worker = subprocess.Popen(
+        [sys.executable, "-m", "repro.experiments.cli", "campaign", "worker",
+         "--connect", f"{host}:{port}", "--preload", _SLEEPY_MODULE, "--quiet"],
+        env=env,
+        stdout=subprocess.DEVNULL,
+    )
+    # Listen-only coordinators wait for external workers indefinitely by
+    # design, so run() goes in a thread and a wedge fails instead of
+    # hanging the suite.
+    outcome = {}
+    runner = threading.Thread(target=lambda: outcome.update(result=coordinator.run()))
+    runner.start()
+    try:
+        runner.join(timeout=90)
+        assert not runner.is_alive(), (
+            f"coordinator never finished (worker rc: {worker.poll()})"
+        )
+    finally:
+        try:
+            worker.wait(timeout=30)  # exits on the coordinator's shutdown
+        except subprocess.TimeoutExpired:
+            worker.kill()
+            worker.wait(timeout=10)
+    return outcome["result"], worker.returncode
 
 
 # -- protocol -----------------------------------------------------------------------
@@ -341,6 +408,46 @@ class TestResultBatching:
             loop.close()
 
 
+# -- instrumentation switches on leases ---------------------------------------------
+
+class TestLeaseSwitches:
+    def test_worker_applies_each_leases_switches(self, monkeypatch):
+        """A lease turns the worker's tracing and probes on, and off again."""
+        from repro.campaign.dist.worker import serve_channel
+
+        # The switch writes the environment; monkeypatch restores it.
+        monkeypatch.setenv("REPRO_TELEMETRY", "0")
+        monkeypatch.setenv("REPRO_PROBES", "0")
+        loop = _Loopback()
+        spec = RunSpec.make("_dist-sleepy", {"i": 0, "sleep_s": 0.0})
+        server = threading.Thread(
+            target=serve_channel,
+            args=(loop.right,),
+            kwargs={"name": "switched", "heartbeat_s": 30.0},
+            daemon=True,
+        )
+        server.start()
+        results = []
+        try:
+            assert loop.left.recv()["type"] == "hello"
+            for switch in (True, False):
+                loop.left.send(
+                    {"type": "lease", "shard": 1, "specs": [spec.to_wire()],
+                     "trace": switch, "probes": switch}
+                )
+                results.append(loop.left.recv())
+                assert loop.left.recv()["type"] == "shard_done"
+            loop.left.send({"type": "shutdown"})
+        finally:
+            server.join(timeout=10)
+            loop.close()
+            disable()
+            disable_probes()
+        on, off = results
+        assert "telemetry" in on and "probes" in on
+        assert "telemetry" not in off and "probes" not in off
+
+
 # -- shard planning -----------------------------------------------------------------
 
 def _costed_plan(works):
@@ -479,6 +586,18 @@ class TestLocalTransport:
         assert result.failed == 1 and result.executed == 1
         assert "placement" in result.records[0].error
 
+    def test_two_workers_trace_and_probe_every_cell(self, tmp_path, sleepy_env):
+        plan = _sleepy_plan(cells=6)
+        plain = _plain_store(plan, tmp_path / "plain")
+        with _traced_and_probed():
+            result = run_distributed(
+                plan,
+                store=ArtifactStore(tmp_path / "dist"),
+                options=_options(workers=2, extra_env=sleepy_env),
+            )
+        assert result.failed == 0 and result.executed == 6
+        _assert_traced_and_probed(tmp_path / "dist", plan, plain)
+
 
 # -- end-to-end: socket transport + crash-resume ------------------------------------
 
@@ -496,44 +615,40 @@ class TestSocketTransport:
 
     def test_external_worker_via_cli_connect(self, tmp_path, sleepy_env):
         """A coordinator with workers=0 is served by a CLI-started worker."""
-        import subprocess
-
         plan = _sleepy_plan(cells=4)
-        store = ArtifactStore(tmp_path / "ext")
         coordinator = Coordinator(
             plan,
-            store=store,
+            store=ArtifactStore(tmp_path / "ext"),
             options=_options(workers=0, transport="socket", extra_env=sleepy_env),
         )
-        host, port = coordinator.address
-        env = dict(os.environ)
-        env.update(sleepy_env)
-        worker = subprocess.Popen(
-            [sys.executable, "-m", "repro.experiments.cli", "campaign", "worker",
-             "--connect", f"{host}:{port}", "--preload", _SLEEPY_MODULE, "--quiet"],
-            env=env,
-            stdout=subprocess.DEVNULL,
+        result, returncode = _serve_with_external_worker(
+            coordinator, dict(os.environ, **sleepy_env)
         )
-        # Listen-only coordinators wait for external workers indefinitely by
-        # design, so run() goes in a thread and a wedge fails instead of
-        # hanging the suite.
-        outcome = {}
-        runner = threading.Thread(target=lambda: outcome.update(result=coordinator.run()))
-        runner.start()
-        try:
-            runner.join(timeout=90)
-            assert not runner.is_alive(), (
-                f"coordinator never finished (worker rc: {worker.poll()})"
-            )
-        finally:
-            try:
-                worker.wait(timeout=30)  # exits on the coordinator's shutdown
-            except subprocess.TimeoutExpired:
-                worker.kill()
-                worker.wait(timeout=10)
-        result = outcome["result"]
         assert result.failed == 0 and result.executed == 4
-        assert worker.returncode == 0
+        assert returncode == 0
+
+    def test_external_worker_traces_and_probes_under_the_coordinator(
+        self, tmp_path, sleepy_env
+    ):
+        """The coordinator's switches reach a worker it did not start.
+
+        The worker's environment holds no REPRO_* variable, so only the
+        lease can tell it to trace and probe.
+        """
+        plan = _sleepy_plan(cells=4)
+        plain = _plain_store(plan, tmp_path / "plain")
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env.update(sleepy_env)
+        with _traced_and_probed():
+            coordinator = Coordinator(
+                plan,
+                store=ArtifactStore(tmp_path / "ext"),
+                options=_options(workers=0, transport="socket", extra_env=sleepy_env),
+            )
+            result, returncode = _serve_with_external_worker(coordinator, env)
+        assert result.failed == 0 and result.executed == 4
+        assert returncode == 0
+        _assert_traced_and_probed(tmp_path / "ext", plan, plain)
 
     def test_dead_worker_fleet_abandons_instead_of_wedging(self):
         """Workers that die at startup must fail the cells, not hang run().

@@ -20,39 +20,42 @@ import pytest
 from repro.analysis import congestion
 from repro.campaign import (
     ArtifactStore,
-    DistOptions,
     ensure_builtin_scenarios,
     plan_campaign,
     run_cell,
 )
 from repro.campaign.dist.protocol import Channel
-from repro.telemetry import snapshot_of, Metrics, Tracer
+from repro.telemetry import capture, snapshot_of, Metrics, Tracer
+from repro.telemetry import probes as probes_module
 from repro.telemetry.export import chrome_trace, validate_trace
 from repro.telemetry.probes import (
-    DEFAULT_DECISION_RATE,
-    DEFAULT_INTERVAL,
     PROBES,
     ProbeRecorder,
     RingSeries,
     disable_probes,
     enable_probes,
-    env_decision_rate,
-    env_probe_interval,
     env_probes_enabled,
-    probe_capture,
 )
 
 
 @pytest.fixture(autouse=True)
 def _probes_off():
-    """Every test starts and ends with probes off and default knobs."""
+    """Every test starts and ends with probes off."""
     disable_probes()
-    PROBES.interval = DEFAULT_INTERVAL
-    PROBES.decision_rate = DEFAULT_DECISION_RATE
     yield
     disable_probes()
-    PROBES.interval = DEFAULT_INTERVAL
-    PROBES.decision_rate = DEFAULT_DECISION_RATE
+
+
+@pytest.fixture
+def audit_all(monkeypatch):
+    """Probes on, auditing every UGAL decision instead of the fixed 2%.
+
+    The rate is a module constant read when a recorder is created; only
+    tests change it, so the decision-audit assertions get records on a
+    one-cell grid.
+    """
+    monkeypatch.setattr(probes_module, "DECISION_RATE", 1.0)
+    enable_probes()
 
 
 def _spec(backend: str = "flit"):
@@ -84,9 +87,9 @@ class TestDisabledFastPath:
         assert record.probes is None
 
     def test_capture_snapshot_is_none(self):
-        with probe_capture() as cap:
+        with capture() as cap:
             pass
-        assert cap.snapshot() is None
+        assert cap.probe_snapshot() is None
 
     def test_singleton_identity_stable_across_toggles(self):
         before = PROBES
@@ -101,34 +104,20 @@ class TestDisabledFastPath:
         assert env_probes_enabled({"REPRO_PROBES": "yes"})
         assert not env_probes_enabled({"REPRO_PROBES": "0"})
         assert not env_probes_enabled({})
-        assert env_probe_interval({"REPRO_PROBE_INTERVAL": "64"}) == 64
-        assert env_probe_interval({}) is None
-        with pytest.raises(ValueError):
-            env_probe_interval({"REPRO_PROBE_INTERVAL": "0"})
-        assert env_decision_rate({"REPRO_PROBE_DECISION_RATE": "0.5"}) == 0.5
-        assert env_decision_rate({}) is None
-        with pytest.raises(ValueError):
-            env_decision_rate({"REPRO_PROBE_DECISION_RATE": "1.5"})
 
     def test_env_var_activates_fresh_interpreter(self):
         code = (
             "from repro.telemetry.probes import PROBES; "
-            "print(PROBES.enabled, PROBES.interval)"
+            "print(PROBES.enabled, PROBES.recorder.interval)"
         )
-        env = dict(os.environ, REPRO_PROBES="1", REPRO_PROBE_INTERVAL="128")
+        env = dict(os.environ, REPRO_PROBES="1")
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (env.get("PYTHONPATH"), _repo_src()) if p
         )
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True
         )
-        assert out.stdout.strip() == "True 128"
-
-    def test_enable_validates_knobs(self):
-        with pytest.raises(ValueError):
-            enable_probes(interval=0)
-        with pytest.raises(ValueError):
-            enable_probes(decision_rate=2.0)
+        assert out.stdout.strip() == "True 256"
 
 
 def _repo_src() -> str:
@@ -176,10 +165,11 @@ class TestRingSeries:
 class TestEngineNeutrality:
     """Probes on must never change a payload, on either backend."""
 
-    def test_flit_payload_byte_identical(self):
+    def test_flit_payload_byte_identical(self, monkeypatch):
         spec = _spec("flit")
         plain = run_cell(spec)
-        enable_probes(decision_rate=1.0)
+        monkeypatch.setattr(probes_module, "DECISION_RATE", 1.0)
+        enable_probes()
         probed = run_cell(spec)
         assert plain.ok and probed.ok
         assert _canonical(plain.payload) == _canonical(probed.payload)
@@ -203,9 +193,19 @@ class TestEngineNeutrality:
         assert snapshot is not None and snapshot["backend"] == "flow"
         assert any(s["metric"] == "occupancy" for s in snapshot["series"])
 
-    def test_probe_snapshots_are_deterministic(self):
+    def test_sidecar_records_the_fixed_knobs(self):
+        """256 cycles and 2% are the only values; sidecars still say so."""
+        enable_probes()
+        snapshot = run_cell(_spec("flow")).probes
+        assert set(snapshot) == {
+            "version", "backend", "interval", "decision_rate", "series",
+            "decisions", "decisions_seen", "decisions_sampled", "flips",
+        }
+        assert snapshot["interval"] == 256
+        assert snapshot["decision_rate"] == 0.02
+
+    def test_probe_snapshots_are_deterministic(self, audit_all):
         spec = _spec("flit")
-        enable_probes(decision_rate=1.0)
         first = run_cell(spec)
         second = run_cell(spec)
         assert _canonical(first.probes) == _canonical(second.probes)
@@ -243,8 +243,7 @@ class TestSchemaCompat:
 
 
 class TestDecisionAudit:
-    def test_audit_records_full_decisions(self):
-        enable_probes(decision_rate=1.0)
+    def test_audit_records_full_decisions(self, audit_all):
         record = run_cell(_spec("flit"))
         snapshot = record.probes
         assert snapshot["decisions_seen"] >= snapshot["decisions_sampled"] > 0
@@ -266,8 +265,9 @@ class TestDecisionAudit:
                 1 for d in snapshot["decisions"] if d["flip"]
             )
 
-    def test_zero_rate_counts_but_never_samples(self):
-        enable_probes(decision_rate=0.0)
+    def test_zero_rate_counts_but_never_samples(self, monkeypatch):
+        monkeypatch.setattr(probes_module, "DECISION_RATE", 0.0)
+        enable_probes()
         record = run_cell(_spec("flit"))
         snapshot = record.probes
         assert snapshot["decisions_seen"] > 0
@@ -292,8 +292,7 @@ class TestWire:
         buffer.seek(0)
         return Channel(buffer, io.BytesIO()).recv()
 
-    def test_result_frame_with_probes(self):
-        enable_probes(decision_rate=1.0)
+    def test_result_frame_with_probes(self, audit_all):
         spec = _spec("flit")
         record = run_cell(spec)
         frame = {
@@ -320,24 +319,12 @@ class TestWire:
         received = self._roundtrip(frame)
         assert "probes" not in received  # additive field, absent when off
 
-    def test_dist_options_validation(self):
-        with pytest.raises(ValueError):
-            DistOptions(probe_interval=64)  # needs probes=True
-        with pytest.raises(ValueError):
-            DistOptions(probes=True, probe_interval=0)
-        with pytest.raises(ValueError):
-            DistOptions(probes=True, probe_decision_rate=1.5)
-        options = DistOptions(probes=True, probe_interval=64,
-                              probe_decision_rate=0.5)
-        assert options.probes and options.probe_interval == 64
-
 
 # -- store round-trip ---------------------------------------------------------------
 
 
 class TestStoreRoundTrip:
     def _saved_store(self, tmp_path):
-        enable_probes(decision_rate=1.0)
         spec = _spec("flit")
         record = run_cell(spec)
         store = ArtifactStore(tmp_path / "store")
@@ -345,7 +332,7 @@ class TestStoreRoundTrip:
                    probes=record.probes)
         return store, spec, record
 
-    def test_sidecar_lands_next_to_results(self, tmp_path):
+    def test_sidecar_lands_next_to_results(self, tmp_path, audit_all):
         store, spec, record = self._saved_store(tmp_path)
         assert store.has_probes(spec)
         assert store.probe_path(spec).exists()
@@ -360,7 +347,7 @@ class TestStoreRoundTrip:
         payload = store.load(spec)
         assert "probes" not in payload
 
-    def test_iter_probe_snapshots_attributes_cells(self, tmp_path):
+    def test_iter_probe_snapshots_attributes_cells(self, tmp_path, audit_all):
         store, spec, _record = self._saved_store(tmp_path)
         reopened = ArtifactStore(store.root)
         (frame,) = list(reopened.iter_probe_snapshots())

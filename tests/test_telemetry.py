@@ -34,10 +34,12 @@ from repro.telemetry import (
     get_logger,
     log_event,
     reset_logging,
+    set_instrumentation,
     snapshot_of,
     timed,
 )
 from repro.telemetry.core import MAX_EVENTS
+from repro.telemetry.probes import PROBES, disable_probes, enable_probes
 from repro.telemetry.export import (
     chrome_trace,
     trace_categories,
@@ -226,6 +228,52 @@ class TestCapture:
         assert "simulate" in inner_snapshot["phases"]
         assert "simulate" not in outer_snapshot["phases"]
         assert "audit" in outer_snapshot["phases"]
+
+    def test_capture_scopes_the_probe_recorder_too(self):
+        enable_probes()
+        try:
+            outer_recorder = PROBES.recorder
+            with capture() as cap:
+                assert PROBES.recorder is not outer_recorder
+                PROBES.recorder.want_decision()
+            assert PROBES.recorder is outer_recorder
+            assert outer_recorder.decisions_seen == 0
+            assert cap.probe_snapshot()["decisions_seen"] == 1
+            assert cap.snapshot() is None  # telemetry stayed off
+        finally:
+            disable_probes()
+
+
+class TestSwitch:
+    """set_instrumentation: the one switch for tracing and probes."""
+
+    @pytest.fixture(autouse=True)
+    def _switches_restored(self, monkeypatch):
+        # The switch writes the environment; setenv makes monkeypatch put
+        # the original values back afterwards.
+        monkeypatch.setenv("REPRO_TELEMETRY", "0")
+        monkeypatch.setenv("REPRO_PROBES", "0")
+        yield
+        disable_probes()
+
+    def test_turns_both_on_and_off(self):
+        set_instrumentation(True, True)
+        assert TELEMETRY.enabled and PROBES.enabled
+        assert os.environ["REPRO_TELEMETRY"] == os.environ["REPRO_PROBES"] == "1"
+        set_instrumentation(False, True)
+        assert not TELEMETRY.enabled and PROBES.enabled
+        set_instrumentation(False, False)
+        assert not TELEMETRY.enabled and not PROBES.enabled
+        assert os.environ["REPRO_TELEMETRY"] == os.environ["REPRO_PROBES"] == "0"
+
+    def test_unchanged_state_keeps_the_recorders(self):
+        set_instrumentation(True, True)
+        tracer, recorder = TELEMETRY.tracer, PROBES.recorder
+        with TELEMETRY.tracer.span("kept", cat="test"):
+            pass
+        set_instrumentation(True, True)
+        assert TELEMETRY.tracer is tracer and PROBES.recorder is recorder
+        assert "kept" in TELEMETRY.tracer.aggregates
 
 
 # -- instrumented cells -------------------------------------------------------------
