@@ -6,11 +6,10 @@ crosses the same groups.  Both backends run the identical scenario — same
 :class:`~repro.config.SimulationConfig`, allocation, noise level and
 iteration count — so the comparison isolates the substrate.
 
-Besides the pytest-benchmark timing, a JSON artifact with the series is
-written to ``benchmarks/results/BENCH_backends.json``::
+A JSON artifact with the series is written to
+``benchmarks/results/BENCH_backends.json``::
 
-    python -m pytest benchmarks/bench_backends.py -q -s
-    python benchmarks/bench_backends.py            # standalone, same JSON
+    python benchmarks/bench_backends.py            # paper scale
     python benchmarks/bench_backends.py --smoke    # tiny scenario (CI)
 
 It reports and asserts no speed bar: the timings are single samples, and
@@ -29,7 +28,7 @@ import time
 if __package__ in (None, ""):  # `python benchmarks/bench_backends.py`
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
-from benchmarks.conftest import RESULTS_DIR, emit
+from benchmarks.conftest import RESULTS_DIR
 from repro.experiments.harness import ExperimentScale
 from repro.model import build_network_model
 from repro.mpi.job import MpiJob
@@ -114,25 +113,15 @@ def _render(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def test_backend_throughput(benchmark, scale, results_dir):
-    """Same scenario on flit vs flow; JSON emitted for the perf trajectory."""
-    payload = benchmark.pedantic(measure_backends, args=(scale,), rounds=1, iterations=1)
-    _write_json(payload, results_dir)
-    emit(results_dir, "backends", _render(payload))
-    assert {entry["backend"] for entry in payload["series"]} == set(BACKENDS)
-
-
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="force the tiny smoke scale regardless of REPRO_BENCH_SCALE",
+        help="run the tiny smoke scale instead of the paper scale",
     )
     args = parser.parse_args()
-    bench_scale = (
-        ExperimentScale.smoke() if args.smoke else ExperimentScale.from_env()
-    )
+    bench_scale = ExperimentScale.smoke() if args.smoke else ExperimentScale.paper()
     result = measure_backends(bench_scale)
     path = _write_json(result, RESULTS_DIR)
     print(_render(result))

@@ -12,8 +12,7 @@ capacities and a mix of finite/infinite flow caps.  Each size measures
 A JSON artifact with the series is written to
 ``benchmarks/results/BENCH_flow_solver.json``::
 
-    python -m pytest benchmarks/bench_flow_solver.py -q -s
-    python benchmarks/bench_flow_solver.py            # standalone, same JSON
+    python benchmarks/bench_flow_solver.py            # 100 to 100k flows
     python benchmarks/bench_flow_solver.py --smoke    # 100/1k flows (CI)
 
 The default (non-smoke) run covers 100 / 1k / 10k / 100k concurrent flows;
@@ -34,7 +33,7 @@ import time
 if __package__ in (None, ""):  # `python benchmarks/bench_flow_solver.py`
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
-from benchmarks.conftest import RESULTS_DIR, emit
+from benchmarks.conftest import RESULTS_DIR
 from repro.model.flow.engine import make_engine
 from repro.model.flow.solver import FlowState
 
@@ -201,14 +200,6 @@ def _render(payload: dict) -> str:
             line += " | reference skipped"
         lines.append(line)
     return "\n".join(lines)
-
-
-def test_flow_solver_throughput(benchmark, scale, results_dir):
-    """Reference vs vectorized at increasing flow counts; JSON emitted."""
-    sizes = SMOKE_SIZES if scale.name == "smoke" else SIZES
-    payload = benchmark.pedantic(measure_sizes, args=(sizes,), rounds=1, iterations=1)
-    _write_json(payload, results_dir)
-    emit(results_dir, "flow_solver", _render(payload))
 
 
 if __name__ == "__main__":

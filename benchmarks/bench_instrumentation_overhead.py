@@ -44,7 +44,7 @@ from typing import Callable
 if __package__ in (None, ""):  # `python benchmarks/bench_instrumentation_overhead.py`
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
-from benchmarks.conftest import RESULTS_DIR, emit
+from benchmarks.conftest import RESULTS_DIR
 from repro.campaign import CampaignPlan, RunSpec, ensure_builtin_scenarios, run_cell
 from repro.telemetry import TELEMETRY
 from repro.telemetry import disable as disable_telemetry
@@ -265,16 +265,6 @@ def _render(payload: dict) -> str:
             f"{row['disabled_overhead_pct']:.4f}%",
         ]
     return "\n".join(lines)
-
-
-def test_instrumentation_overhead(benchmark, results_dir):
-    """Enabled-vs-disabled grids per layer; BENCH JSON emitted, bars asserted."""
-    payload = benchmark.pedantic(
-        measure_overhead, args=(True,), rounds=1, iterations=1
-    )
-    _write_json(payload, results_dir)
-    emit(results_dir, "instrumentation_overhead", _render(payload))
-    check_overhead(payload)
 
 
 if __name__ == "__main__":

@@ -1,17 +1,16 @@
-"""Command-line runner for the experiments and campaign engine.
+"""Command-line runner of the campaign engine (the ``repro`` console script).
 
-Legacy per-figure usage (kept stable)::
+Every paper figure and table is a campaign scenario::
 
-    python -m repro.experiments.cli --list
-    python -m repro.experiments.cli figure3 figure7 --scale smoke
-    python -m repro.experiments.cli all --scale paper --output results/
+    repro campaign list --tag figure
+    repro campaign run figure3 --reports           # one figure, report printed
+    repro campaign run figures --backend flow --seed 1
+    repro campaign status --store campaigns/       # includes the paper claims
 
-Campaign usage (the ``repro`` console script maps here too)::
+Sweeps::
 
-    repro campaign list
     repro campaign run all --workers 4 --store campaigns/
     repro campaign run pingpong-placement --set message_kib=4,64 --dry-run
-    repro campaign status --store campaigns/
 
 ``campaign run`` plans a sweep over the requested scenarios' parameter
 grids, skips every run whose spec hash is already in the artifact store and
@@ -30,74 +29,10 @@ import argparse
 import os
 import pathlib
 import sys
-import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-from repro.experiments import (
-    figure3,
-    figure4,
-    figure5,
-    figure7,
-    figure8,
-    figure9,
-    figure10,
-    model_validation,
-    table1,
-)
-from repro.experiments.harness import ExperimentScale
-
-#: Registry of runnable experiments: name -> (run, report).  Kept for
-#: backwards compatibility; execution now goes through the campaign
-#: scenario registry (each module below registers itself there as well).
-EXPERIMENTS: Dict[str, Tuple[Callable, Callable]] = {
-    "figure3": (figure3.run, figure3.report),
-    "table1": (table1.run, table1.report),
-    "figure4": (figure4.run, figure4.report),
-    "figure5": (figure5.run, figure5.report),
-    "figure7": (figure7.run, figure7.report),
-    "figure8": (figure8.run, figure8.report),
-    "figure9": (figure9.run, figure9.report),
-    "figure10": (figure10.run, figure10.report),
-    "model_validation": (model_validation.run, model_validation.report),
-}
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Default artifact-store location for the campaign subcommands.
 DEFAULT_STORE = pathlib.Path("campaigns")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The legacy (per-figure) CLI argument parser (exposed for tests)."""
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments",
-        description="Re-run the paper's experiments on the simulated Dragonfly.",
-        epilog="Use the 'campaign' subcommand for parallel, cached sweeps.",
-    )
-    parser.add_argument(
-        "experiments",
-        nargs="*",
-        help="experiment names (see --list), or 'all'",
-    )
-    parser.add_argument("--list", action="store_true", help="list available experiments")
-    parser.add_argument(
-        "--scale",
-        choices=("smoke", "paper"),
-        default="smoke",
-        help="experiment scale preset (default: smoke)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("flit", "flow"),
-        default="flit",
-        help="network-model backend (default: flit)",
-    )
-    parser.add_argument("--seed", type=int, default=None, help="override the master seed")
-    parser.add_argument(
-        "--output",
-        type=pathlib.Path,
-        default=None,
-        help="directory to write one <experiment>.txt per experiment",
-    )
-    return parser
 
 
 def main(argv=None) -> int:
@@ -105,45 +40,13 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "campaign":
         return campaign_main(argv[1:])
-
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.list:
-        for name in EXPERIMENTS:
-            print(name)
-        return 0
-
-    requested = list(args.experiments)
-    if not requested:
-        parser.error("no experiments requested (use --list to see the choices)")
-    if requested == ["all"]:
-        requested = list(EXPERIMENTS)
-    unknown = [name for name in requested if name not in EXPERIMENTS]
-    if unknown:
-        parser.error(f"unknown experiments: {', '.join(unknown)}")
-
-    scale = ExperimentScale.preset(args.scale).with_backend(args.backend)
-    if args.seed is not None:
-        scale = scale.with_seed(args.seed)
-    if args.output is not None:
-        args.output.mkdir(parents=True, exist_ok=True)
-
-    for name in requested:
-        # The raw run/report pair, not the campaign runner: the legacy path
-        # only prints the report, so skip the metrics/data payload build.
-        run, report = EXPERIMENTS[name]
-        start = time.time()
-        text = report(run(scale))
-        elapsed = time.time() - start
-        print(text)
-        print(f"[{name} completed in {elapsed:.1f} s at scale '{scale.name}']\n")
-        if args.output is not None:
-            (args.output / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
-    return 0
-
-
-# -- campaign subcommands ---------------------------------------------------------
+    print(
+        "usage: repro campaign {run,list,status,worker,trace,probe} ...\n"
+        "the paper's figures are campaign scenarios, e.g.: "
+        "repro campaign run figure3 --reports",
+        file=sys.stderr,
+    )
+    return 2
 
 
 def build_campaign_parser() -> argparse.ArgumentParser:
@@ -641,6 +544,7 @@ def campaign_main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command == "status":
         store = ArtifactStore(args.store)
+        from repro.analysis.claims import claim_rows, render_claims
         from repro.analysis.reporting import campaign_metrics_table
 
         if args.timings:
@@ -708,6 +612,10 @@ def campaign_main(argv: Optional[Sequence[str]] = None) -> int:
         if rows:
             print()
             print(campaign_metrics_table(rows))
+        claims = claim_rows(store)
+        if claims:
+            print()
+            print(render_claims(claims))
         audit_rows = store.audit_rows()
         if audit_rows:
             print()

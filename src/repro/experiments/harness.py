@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -108,22 +107,6 @@ class ExperimentScale:
         if value == "paper":
             return cls.paper()
         raise ValueError(f"unknown scale preset {name!r} (use 'smoke' or 'paper')")
-
-    @classmethod
-    def from_env(cls, variable: str = "REPRO_BENCH_SCALE") -> "ExperimentScale":
-        """Pick a preset from an environment variable.
-
-        The default is ``smoke`` so that the full benchmark harness completes
-        in minutes on a laptop; export ``REPRO_BENCH_SCALE=paper`` for the
-        larger configuration (hours of pure-Python simulation).
-        """
-        value = os.environ.get(variable, "smoke")
-        try:
-            return cls.preset(value)
-        except ValueError:
-            raise ValueError(
-                f"unknown {variable} value {value!r} (use 'smoke' or 'paper')"
-            ) from None
 
     # -- derived -------------------------------------------------------------------
 

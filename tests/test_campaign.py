@@ -443,8 +443,3 @@ class TestCampaignCli:
     def test_main_dispatches_campaign(self, capsys):
         assert main(["campaign", "list"]) == 0
         assert "registered scenarios" in capsys.readouterr().out
-
-    def test_legacy_cli_still_runs_figures(self, tmp_path, capsys):
-        assert main(["figure4", "--scale", "smoke", "--output", str(tmp_path)]) == 0
-        assert "Figure 4" in capsys.readouterr().out
-        assert (tmp_path / "figure4.txt").exists()

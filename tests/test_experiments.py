@@ -32,15 +32,9 @@ class TestExperimentScale:
         paper = ExperimentScale.paper()
         assert smoke.large_job_nodes < paper.large_job_nodes
         assert paper.topology().num_nodes > smoke.topology().num_nodes
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "smoke")
-        assert ExperimentScale.from_env().name == "smoke"
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "paper")
-        assert ExperimentScale.from_env().name == "paper"
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "bogus")
+        assert ExperimentScale.preset("Paper") == paper
         with pytest.raises(ValueError):
-            ExperimentScale.from_env()
+            ExperimentScale.preset("bogus")
 
     def test_scaled_size_floor(self):
         assert SCALE.scaled_size(4) >= 8
@@ -169,12 +163,16 @@ class TestFigure8Suite:
             "broadcast", "halo3d", "sweep3d",
         }
 
-    def test_figure9_uses_small_allocation(self, tiny_scale):
+    def test_figure9_uses_small_allocation(self, tiny_scale, monkeypatch):
         specs = [spec for spec in figure8.benchmark_matrix() if spec[0] == "barrier"]
-        result = figure8.run_suite(
-            tiny_scale, job_nodes=tiny_scale.small_job_nodes, figure="figure9", specs=specs
+        run_suite = figure8.run_suite
+        monkeypatch.setattr(
+            figure8, "run_suite",
+            lambda scale, job_nodes, figure: run_suite(scale, job_nodes, figure, specs=specs),
         )
+        result = figure9.run(tiny_scale)
         assert result.job_nodes == tiny_scale.small_job_nodes
+        assert result.rows()
         assert figure9.report(result)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import SimulationConfig
+from repro.experiments.harness import ExperimentScale
 from repro.network.network import Network
 from repro.network.packet import RdmaOp
 from repro.network.router import Router, RoutingError
@@ -153,6 +154,52 @@ class TestRoutingModesOnNetwork:
             fractions[mode] = message.minimal_fraction()
         assert fractions[RoutingMode.ADAPTIVE_3] >= fractions[RoutingMode.ADAPTIVE_0]
         assert fractions[RoutingMode.ADAPTIVE_3] > 0.7
+
+    def test_larger_bias_keeps_hotspot_traffic_minimal(self):
+        """Every sender on router 0 targets router 1, so the shared minimal
+        links congest and the ``ADAPTIVE_3`` bias value decides how much
+        traffic diverts: bias 128 keeps at least as much minimal as bias 0."""
+        scale = ExperimentScale.smoke()
+        fractions = {}
+        for bias in (0.0, 128.0):
+            config = scale.simulation_config().with_routing(high_bias=bias)
+            network = Network(config)
+            per_router = config.topology.nodes_per_router
+            messages = [
+                network.send(slot, per_router + slot, scale.scaled_size(64 * 1024),
+                             routing_mode=RoutingMode.ADAPTIVE_3)
+                for slot in range(per_router)
+            ]
+            network.run_until_idle()
+            minimal = sum(m.minimal_packets for m in messages)
+            total = sum(m.minimal_packets + m.nonminimal_packets for m in messages)
+            fractions[bias] = minimal / total
+        # Allow small non-monotonic wiggles from sampling randomness.
+        assert fractions[128.0] >= fractions[0.0] - 0.02
+        assert fractions[128.0] > 0.5
+
+    def test_stale_credit_info_diverts_probes(self):
+        """Phantom congestion (Section 2.2): probes sent after a burst between
+        routers 0 and 1 has mostly drained divert at least as often when the
+        credit information is 50k cycles stale as when it is fresh."""
+        scale = ExperimentScale.smoke()
+        fractions = {}
+        for delay in (0, 50_000):
+            config = scale.simulation_config().with_routing(credit_info_delay=delay)
+            network = Network(config)
+            per_router = config.topology.nodes_per_router
+            network.send(0, per_router, scale.scaled_size(128 * 1024))
+            network.run(until=30_000)
+            probes = [
+                network.send(slot, per_router + slot, scale.scaled_size(16 * 1024),
+                             routing_mode=RoutingMode.ADAPTIVE_0)
+                for slot in range(1, per_router)
+            ]
+            network.run_until_idle()
+            nonminimal = sum(m.nonminimal_packets for m in probes)
+            total = sum(m.minimal_packets + m.nonminimal_packets for m in probes)
+            fractions[delay] = nonminimal / total
+        assert fractions[50_000] >= fractions[0]
 
     def test_selector_statistics_updated(self, small_network):
         small_network.send(0, small_network.num_nodes - 1, 4096)

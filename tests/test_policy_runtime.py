@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.allocation.policies import allocate_inter_group_pair
+from repro.analysis.stats import median
 from repro.config import NicConfig, SimulationConfig
 from repro.core.policy import (
     ApplicationAwarePolicy,
@@ -13,6 +15,7 @@ from repro.core.policy import (
 )
 from repro.core.runtime import AppAwareRuntime
 from repro.core.selector import SelectorParams
+from repro.experiments.harness import ExperimentScale
 from repro.network.counters import CounterSnapshot
 from repro.network.network import Network
 from repro.routing.modes import RoutingMode
@@ -143,3 +146,29 @@ class TestAppAwareRuntime:
             network.run_until_idle()
         selector = runtime.policy.selector
         assert selector.decisions == 6
+
+    def test_pingpong_within_bound_of_best_static_mode(self):
+        """Algorithm 1 driving an inter-group ping-pong stays within 1.5x of
+        the better static mode's median round trip on the same pair."""
+        scale = ExperimentScale.smoke()
+
+        def median_round_trip(**runtime_args):
+            config = scale.simulation_config()
+            network = Network(config)
+            src, dst = allocate_inter_group_pair(config.topology)
+            runtime = AppAwareRuntime(network, src, **runtime_args)
+            times = []
+            for _ in range(10):
+                start = network.sim.now
+                done = []
+                runtime.send(dst, scale.scaled_size(32 * 1024), on_acked=done.append)
+                while not done and network.sim.step():
+                    pass
+                times.append(network.sim.now - start)
+            return median(times)
+
+        best_static = min(
+            median_round_trip(policy=StaticRoutingPolicy(mode))
+            for mode in (RoutingMode.ADAPTIVE_0, RoutingMode.ADAPTIVE_3)
+        )
+        assert median_round_trip() <= best_static * 1.5

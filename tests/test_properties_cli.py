@@ -1,10 +1,12 @@
-"""Tests for topology property summaries and the experiments CLI."""
+"""Tests for topology property summaries and the ``repro`` entry point."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.cli import EXPERIMENTS, build_parser, main
+from repro.campaign import ensure_builtin_scenarios
+from repro.campaign.registry import scenario_names
+from repro.experiments.cli import build_campaign_parser, main
 from repro.topology.dragonfly import LinkKind
 from repro.topology.properties import (
     average_minimal_hops,
@@ -54,33 +56,43 @@ class TestTopologyProperties:
 
 
 class TestCli:
+    """Every figure runs through ``repro campaign``; the legacy per-figure
+    settings map onto its flags and store."""
+
+    HINT = "repro campaign run figure3 --reports"
+
     def test_registry_covers_all_figures(self):
+        ensure_builtin_scenarios()
         assert {
             "figure3", "table1", "figure4", "figure5", "figure7",
             "figure8", "figure9", "figure10", "model_validation",
-        } == set(EXPERIMENTS)
+        } == set(scenario_names(tag="figure"))
 
     def test_list_option(self, capsys):
-        assert main(["--list"]) == 0
+        assert main(["campaign", "list", "--tag", "figure"]) == 0
         out = capsys.readouterr().out
         assert "figure7" in out
 
-    def test_unknown_experiment_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["not-an-experiment"])
+    def test_unknown_experiment_rejected(self, capsys):
+        assert main(["figure3", "--scale", "smoke"]) == 2
+        assert self.HINT in capsys.readouterr().err
 
-    def test_no_experiments_rejected(self):
-        with pytest.raises(SystemExit):
-            main([])
+    def test_no_experiments_rejected(self, capsys):
+        assert main([]) == 2
+        assert self.HINT in capsys.readouterr().err
 
     def test_parser_defaults(self):
-        args = build_parser().parse_args(["figure3"])
+        args = build_campaign_parser().parse_args(["run", "figure3"])
         assert args.scale == "smoke"
+        assert args.backend == "flit"
         assert args.seed is None
 
     def test_runs_single_experiment_and_writes_output(self, tmp_path, capsys):
-        exit_code = main(["figure4", "--scale", "smoke", "--output", str(tmp_path), "--seed", "3"])
+        store = tmp_path / "store"
+        exit_code = main(
+            ["campaign", "run", "figure4", "--seed", "3", "--reports", "--store", str(store)]
+        )
         assert exit_code == 0
         out = capsys.readouterr().out
         assert "Figure 4" in out
-        assert (tmp_path / "figure4.txt").exists()
+        assert len(list((store / "reports").glob("*.txt"))) == 1
