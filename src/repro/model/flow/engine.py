@@ -6,10 +6,13 @@ how much work each re-solve actually performs.  Two implementations share
 the same API:
 
 ``vectorized`` (the default, :func:`default_engine_kind`)
-    :class:`~repro.model.flow.vectorized.VectorizedFairShareEngine` — flat
-    NumPy arrays (CSR-style flow x link incidence, dense per-link capacity
-    vector) plus *incremental* re-solves that only touch the connected
-    component of the flow/link sharing graph whose membership changed.
+    :class:`~repro.model.flow.vectorized.VectorizedFairShareEngine` —
+    per-flow state in Python lists indexed by slot, *incremental*
+    re-solves that only touch the connected component of the flow/link
+    sharing graph whose membership changed, an event-driven plain-Python
+    fill for up to 48 flows and a NumPy per-component fill above that.
+    The name predates the lists; perfbench's layer probes wrap the class
+    by name, so it stays.
 
 ``reference``
     Pure-Python dict arithmetic (:class:`ReferenceFairShareEngine` wrapping
@@ -29,8 +32,9 @@ Engine API (duck-typed; both classes implement it):
 * ``drained(threshold)`` — flows whose remaining volume is exhausted, with
   their ``remaining``/``rate`` attributes synchronized.
 * ``rate_of(flow)`` / ``remaining_of(flow)`` — current per-flow values
-  (under the vectorized engine the authoritative copy lives in arrays, and
-  ``FlowState`` attributes are synchronized only on removal).
+  (under the vectorized engine the authoritative copy lives in its slot
+  lists, and ``FlowState`` attributes are synchronized only on removal or
+  when ``drained`` reports the flow).
 * ``stats`` — dict of solve counters (``solves``, ``full``,
   ``incremental``, ``skipped``, ``rounds``, ``flows_touched``) used by the
   coalescing tests and the solver benchmark.

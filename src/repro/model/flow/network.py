@@ -379,8 +379,9 @@ class FlowNetwork(NetworkModel):
 
         # -- fluid engine state ------------------------------------------------
         #: Solver engine resolving the global flow set: ``vectorized``
-        #: (NumPy, incremental — the default) or ``reference`` (pure
-        #: Python, the test oracle); see :mod:`repro.model.flow.engine`.
+        #: (incremental, state in Python lists, NumPy only for fills above
+        #: 48 flows — the default) or ``reference`` (pure Python, the test
+        #: oracle); see :mod:`repro.model.flow.engine`.
         self._solver_kind = solver if solver is not None else default_engine_kind()
         self._engine = make_engine(self._solver_kind, self._capacity_of)
         #: Small reference solver for the per-message solo solve in

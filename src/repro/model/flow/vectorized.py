@@ -1,38 +1,50 @@
-"""Vectorized, incrementally-updated max-min fair-share engine.
+"""Incrementally-updated max-min fair-share engine.
 
 Same fixed point as :class:`~repro.model.flow.solver.FairShareSolver`
-(progressive filling / water-filling), computed over flat NumPy arrays
-instead of per-flow Python loops:
+(progressive filling / water-filling):
 
-* **Dense link table.**  Every distinct link key is interned to an integer
-  id; capacities (and the per-link relative saturation tolerance) live in
-  dense vectors built once per topology — the ``capacity_of`` callback runs
-  once per link, ever, not once per link per solve.
-* **CSR incidence.**  Each solve gathers the affected flows' link-id arrays
-  into one flat ``cols`` array with row offsets, so a filling round is a
-  handful of ``np.minimum``/``np.logical_or.reduceat``/``np.bincount``
-  operations over the whole component at once.
+* **Per-flow state in Python lists.**  Every distinct link key is interned
+  to an integer id with its capacity and relative saturation tolerance —
+  the ``capacity_of`` callback runs once per link, ever.  Each flow gets a
+  slot; its ``remaining``, ``rate``, cap and link-id tuple live in lists
+  indexed by slot, and freed slots are reused last-in first-out.  Most
+  solves see a handful of live flows, where a NumPy call's fixed cost
+  outweighs the arithmetic, so ``add_flow``/``advance``/``drained`` and
+  the small fills below are plain Python.
 * **Incremental re-solves.**  ``add_flow``/``remove_flow`` mark the touched
   links dirty.  ``solve()`` walks the flow/link sharing graph from the
   dirty links and re-runs filling only over that connected component — the
   max-min allocation decomposes exactly over components, so every other
   flow keeps its frozen rate.  When the dirty region grows past half the
-  active flows the walk aborts and a plain full vectorized solve runs
-  instead (the walk would cost more than it saves).
-* **Vectorized progress.**  ``advance``/``completion_horizon``/``drained``
-  are single array expressions, which is what keeps *completion handling*
-  (one event per message, each previously touching every live flow in
-  Python) from dominating at 10^5 concurrent flows.
+  active flows the walk aborts and every flow is filled instead.
+* **Two fills.**  Up to ``_SMALL_COMPONENT`` flows fill *jointly*: one
+  uniform level rises for every unfrozen flow, and a round visits only the
+  links still in use plus the flows that freeze (event-driven: the cap
+  step and cap freezes come from pre-sorted lists, saturation freezes from
+  each link's user list).  Larger sets fill *per component* over NumPy
+  CSR arrays, one min-step per connected component.
+
+Why the split and the abort cannot move: a joint fill over several
+components adds each component's increments in the order of *all*
+components' events, so its rates differ in the last bits from a
+per-component fill.  Which flows a solve fills jointly therefore depends
+on ``_FULL_SOLVE_FRACTION`` and ``_SMALL_COMPONENT``; changing either
+changes the float trajectory, and with it the pinned digests
+(``perfbench/pins.json``, ``tests/test_flow_solver.py``,
+``tests/test_cluster.py``), which would need re-recording.
+
+The class keeps its historic name: perfbench's layer probes wrap its
+methods by module, class and method name.
 
 ``FlowState`` attributes are synchronized lazily: the authoritative
-``rate``/``remaining`` live in the slot arrays, and are written back to the
+``rate``/``remaining`` live in the slot lists, and are written back to the
 Python objects when a flow is removed or reported drained.  Use
 ``rate_of``/``remaining_of`` to observe a live flow.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,49 +61,44 @@ _COMPACT_MIN_ROWS = 128
 #: into a full solve.
 _FULL_SOLVE_FRACTION = 0.5
 
-#: Components at or below this many flows fill through the scalar path:
-#: NumPy's fixed per-call overhead (array gathering, unique, reduceat
-#: setup) exceeds the cost of a plain dict loop for small problems, and
-#: most incremental re-solves on lightly loaded systems are small.
+#: Fill sets at or below this many flows fill jointly in plain Python;
+#: larger ones go through the NumPy per-component fill.
 _SMALL_COMPONENT = 48
 
 
-def _grow(array: np.ndarray, needed: int) -> np.ndarray:
-    """Return ``array`` grown geometrically to cover index ``needed``."""
-    size = max(16, array.size)
-    while size <= needed:
-        size *= 2
-    grown = np.zeros(size, dtype=array.dtype)
-    grown[: array.size] = array
-    return grown
-
-
 class VectorizedFairShareEngine:
-    """NumPy-backed fair-share engine with incremental component re-solves."""
+    """Fair-share engine with incremental component re-solves."""
 
     kind = "vectorized"
 
-    def __init__(self, capacity_of: Callable[[object], float], initial: int = 256):
+    def __init__(self, capacity_of: Callable[[object], float]):
         self._capacity_of = capacity_of
 
-        # -- link table (dense, grown geometrically) -----------------------
+        # -- link table ----------------------------------------------------
         self._link_index: Dict[object, int] = {}
-        self._cap = np.zeros(initial)
-        self._sat_eps = np.zeros(initial)
+        self._cap: List[float] = []
+        self._sat_eps: List[float] = []
         #: link id -> set of flow slots crossing it (for the component walk).
         self._members: List[set] = []
+        #: NumPy copies of the link table for the large fill, rebuilt when
+        #: links were interned since.
+        self._cap_array = np.zeros(0)
+        self._sat_eps_array = np.zeros(0)
 
         # -- flow slots ----------------------------------------------------
-        self._remaining = np.zeros(initial)
-        self._rate = np.zeros(initial)
-        self._fcap = np.zeros(initial)
-        self._fcap_eps = np.zeros(initial)
-        self._alive = np.zeros(initial, dtype=bool)
-        self._slot_links: List[Optional[np.ndarray]] = [None] * initial
-        self._flow_at: List[Optional[FlowState]] = [None] * initial
-        self._free: List[int] = list(range(initial - 1, -1, -1))
+        self._remaining: List[float] = []
+        self._rate: List[float] = []
+        self._fcap: List[float] = []
+        #: ``cap - cap_eps(cap)``: the rate at which a flow cap-freezes.
+        self._flimit: List[float] = []
+        self._slot_links: List[Optional[Tuple[int, ...]]] = []
+        #: Link ids as an array, built when the slot first enters a large fill.
+        self._slot_cols: List[Optional[np.ndarray]] = []
+        self._flow_at: List[Optional[FlowState]] = []
+        #: Freed slots, reused last-in first-out; a slot is appended only
+        #: when none is free.  Slot order is the order ``drained`` reports.
+        self._free: List[int] = []
         self._slot_of: Dict[int, int] = {}
-        self._count = 0
 
         #: Link ids whose flow membership changed since the last solve.
         self._dirty: set = set()
@@ -107,75 +114,59 @@ class VectorizedFairShareEngine:
         if lid is None:
             lid = len(self._link_index)
             self._link_index[key] = lid
-            if lid >= self._cap.size:
-                self._cap = _grow(self._cap, lid)
-                self._sat_eps = _grow(self._sat_eps, lid)
             capacity = float(self._capacity_of(key))
-            self._cap[lid] = capacity
-            self._sat_eps[lid] = EPS * capacity
+            self._cap.append(capacity)
+            self._sat_eps.append(EPS * capacity)
             self._members.append(set())
         return lid
 
     # -- membership --------------------------------------------------------
 
-    def _alloc_slot(self) -> int:
-        if not self._free:
-            old = self._alive.size
-            self._remaining = _grow(self._remaining, old)
-            self._rate = _grow(self._rate, old)
-            self._fcap = _grow(self._fcap, old)
-            self._fcap_eps = _grow(self._fcap_eps, old)
-            alive = np.zeros(self._remaining.size, dtype=bool)
-            alive[:old] = self._alive
-            self._alive = alive
-            self._slot_links.extend([None] * (self._remaining.size - old))
-            self._flow_at.extend([None] * (self._remaining.size - old))
-            self._free.extend(range(self._remaining.size - 1, old - 1, -1))
-        return self._free.pop()
-
     def add_flow(self, flow: FlowState) -> None:
         if flow.flow_id in self._slot_of:
             raise ValueError(f"flow {flow.flow_id} already registered")
-        slot = self._alloc_slot()
-        links = np.fromiter(
-            (self._link_id(key) for key in flow.links),
-            dtype=np.int64,
-            count=len(flow.links),
-        )
+        try:
+            links = tuple(map(self._link_index.__getitem__, flow.links))
+        except KeyError:
+            links = tuple([self._link_id(key) for key in flow.links])
+        if self._free:
+            slot = self._free.pop()
+        else:
+            slot = len(self._rate)
+            for column in (self._remaining, self._rate, self._fcap, self._flimit,
+                           self._slot_links, self._slot_cols, self._flow_at):
+                column.append(None)
+        cap = float(flow.cap)
+        self._remaining[slot] = float(flow.remaining)
+        self._rate[slot] = float(flow.rate)
+        self._fcap[slot] = cap
+        self._flimit[slot] = cap - cap_eps(cap)
         self._slot_links[slot] = links
         self._flow_at[slot] = flow
         self._slot_of[flow.flow_id] = slot
-        self._remaining[slot] = flow.remaining
-        self._rate[slot] = flow.rate
-        self._fcap[slot] = flow.cap
-        self._fcap_eps[slot] = cap_eps(flow.cap)
-        self._alive[slot] = True
-        self._count += 1
-        if links.size == 0:
+        if not links:
             self._linkless_pending.append(slot)
-        dirty = self._dirty
-        for lid in links.tolist():
-            self._members[lid].add(slot)
-            dirty.add(lid)
+        members = self._members
+        for lid in links:
+            members[lid].add(slot)
+        self._dirty.update(links)
 
     def remove_flow(self, flow: FlowState) -> None:
         slot = self._slot_of.pop(flow.flow_id)
-        flow.remaining = float(self._remaining[slot])
-        flow.rate = float(self._rate[slot])
-        dirty = self._dirty
-        for lid in self._slot_links[slot].tolist():
-            self._members[lid].discard(slot)
-            dirty.add(lid)
-        self._alive[slot] = False
-        self._rate[slot] = 0.0
-        self._remaining[slot] = 0.0
+        flow.remaining = self._remaining[slot]
+        flow.rate = self._rate[slot]
+        links = self._slot_links[slot]
+        members = self._members
+        for lid in links:
+            members[lid].discard(slot)
+        self._dirty.update(links)
         self._slot_links[slot] = None
+        self._slot_cols[slot] = None
         self._flow_at[slot] = None
         self._free.append(slot)
-        self._count -= 1
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._slot_of)
 
     def flows(self) -> Iterator[FlowState]:
         return (f for f in self._flow_at if f is not None)
@@ -183,111 +174,206 @@ class VectorizedFairShareEngine:
     # -- solving -----------------------------------------------------------
 
     def solve(self) -> None:
-        self.stats["solves"] += 1
+        stats = self.stats
+        stats["solves"] += 1
         if self._linkless_pending:
             # Same fixed point as the reference solver: a flow crossing no
             # link is bounded only by its own cap.
             for slot in self._linkless_pending:
-                if self._alive[slot] and self._slot_links[slot].size == 0:
+                if self._flow_at[slot] is not None and not self._slot_links[slot]:
                     self._rate[slot] = self._fcap[slot]
             self._linkless_pending.clear()
         if not self._dirty:
-            self.stats["skipped"] += 1
+            stats["skipped"] += 1
             return
-        dirty = [lid for lid in self._dirty if self._members[lid]]
+        dirty = list(filter(self._members.__getitem__, self._dirty))
         self._dirty.clear()
-        if not dirty or self._count == 0:
+        if not dirty or not self._slot_of:
             # Only emptied links were touched: no surviving flow shares a
             # link with anything that changed, so every rate stands.
-            self.stats["skipped"] += 1
+            stats["skipped"] += 1
             return
 
         slots = self._affected_component(dirty)
-        self.stats["flows_touched"] += slots.size
+        stats["flows_touched"] += len(slots)
         self._fill(slots)
 
-    def _affected_component(self, dirty: List[int]) -> np.ndarray:
-        """Slots of the connected component(s) containing the dirty links.
+    def _affected_component(self, dirty: List[int]) -> List[int]:
+        """Sorted slots of the connected component(s) containing the dirty links.
 
-        Aborts into the full alive set once the component covers more than
+        Aborts into the full live set once the component covers more than
         ``_FULL_SOLVE_FRACTION`` of the active flows — closure still holds
         (the full set trivially contains every co-flow), and the walk is
         pure-Python, so past that point it costs more than the fill saves.
         """
-        threshold = self._count * _FULL_SOLVE_FRACTION
+        count = len(self._slot_of)
+        threshold = count * _FULL_SOLVE_FRACTION
+        members = self._members
+        slot_links = self._slot_links
         affected: set = set()
         seen_links = set(dirty)
         stack = list(dirty)
-        full = False
-        while stack and not full:
-            lid = stack.pop()
-            for slot in self._members[lid]:
-                if slot in affected:
-                    continue
-                affected.add(slot)
-                if len(affected) > threshold:
-                    full = True
-                    break
-                for other in self._slot_links[slot].tolist():
+        while stack:
+            fresh = members[stack.pop()] - affected
+            if not fresh:
+                continue
+            affected |= fresh
+            if len(affected) > threshold:
+                self.stats["aborts"] += 1
+                self.stats["full"] += 1
+                return sorted(self._slot_of.values())
+            for slot in fresh:
+                for other in slot_links[slot]:
                     if other not in seen_links:
                         seen_links.add(other)
                         stack.append(other)
-        if full or len(affected) >= self._count:
-            if full:
-                self.stats["aborts"] += 1
+        if len(affected) >= count:
             self.stats["full"] += 1
-            return np.flatnonzero(self._alive)
-        self.stats["incremental"] += 1
-        slots = np.fromiter(affected, dtype=np.int64, count=len(affected))
-        slots.sort()
-        return slots
+        else:
+            self.stats["incremental"] += 1
+        return sorted(affected)
 
-    def _fill(self, slots: np.ndarray) -> None:
-        """Progressive filling over one closed set of slots (vectorized)."""
-        if slots.size == 0:
-            return
+    def _fill(self, slots: List[int]) -> None:
+        """Progressive filling over one closed set of slots."""
         slot_links = self._slot_links
-        row_lens = np.fromiter(
-            (slot_links[s].size for s in slots), dtype=np.int64, count=slots.size
-        )
-        empty = row_lens == 0
-        if empty.any():
+        if not all(map(slot_links.__getitem__, slots)):
             # A linkless flow is only bounded by its own cap; it also shares
             # nothing, so it drops out of the component before the fill.
-            for slot in slots[empty].tolist():
-                self._rate[slot] = self._fcap[slot]
-            slots = slots[~empty]
-            row_lens = row_lens[~empty]
-            if slots.size == 0:
-                return
-        if slots.size == 1:
+            for slot in slots:
+                if not slot_links[slot]:
+                    self._rate[slot] = self._fcap[slot]
+            slots = [s for s in slots if slot_links[s]]
+        if not slots:
+            return
+        if len(slots) == 1:
             # Single-flow fast path: alone on its links, the flow takes the
-            # tightest capacity (or its own cap) with no filling rounds.
-            slot = int(slots[0])
+            # tightest capacity per occurrence (or its own cap) at once.
+            slot = slots[0]
             links = slot_links[slot]
-            occupied, occurrences = np.unique(links, return_counts=True)
-            rate = min(
-                float(self._fcap[slot]),
-                float(np.min(self._cap[occupied] / occurrences)),
-            )
-            self._rate[slot] = rate
+            cap = self._cap
+            share = min([cap[lid] / links.count(lid) for lid in links])
+            self._rate[slot] = min(self._fcap[slot], share)
             self.stats["rounds"] += 1
-            return
-        if slots.size <= _SMALL_COMPONENT:
+        elif len(slots) <= _SMALL_COMPONENT:
             self._fill_small(slots)
-            return
+        else:
+            self._fill_large(slots)
 
-        cols = np.concatenate([slot_links[s] for s in slots])
+    def _fill_small(self, slots: List[int]) -> None:
+        """Joint progressive filling, event-driven, for a small fill set.
+
+        The reference solver's trajectory, float operation for float
+        operation: every unfrozen flow holds the same rate ``level`` (the
+        same steps added to 0.0), so the cap step is the smallest unfrozen
+        cap minus ``level`` (subtraction is monotone, so it equals the
+        smallest difference), a cap freeze is ``level`` reaching the flow's
+        ``cap - cap_eps``, and a saturation freeze reaches exactly the
+        unfrozen users of the saturated link.  A round touches only links
+        still in use and the flows it freezes.
+        """
+        slot_links = self._slot_links
+        #: link id -> its users, once per occurrence.
+        users: Dict[int, List[int]] = {}
+        for slot in slots:
+            for lid in slot_links[slot]:
+                if lid in users:
+                    users[lid].append(slot)
+                else:
+                    users[lid] = [slot]
+        cap = self._cap
+        residual = {lid: cap[lid] for lid in users}
+        #: Unfrozen occurrences per link; a link leaves when it reaches 0.
+        count = {lid: len(user) for lid, user in users.items()}
+        sat_eps = self._sat_eps
+        fcap = self._fcap
+        limit = self._flimit
+        rate = self._rate
+        by_cap = sorted(slots, key=fcap.__getitem__)
+        by_limit = sorted(slots, key=limit.__getitem__)
+        n = len(slots)
+        next_cap = next_limit = 0
+        frozen: set = set()
+        level = 0.0
+        rounds = 0
+        while True:
+            rounds += 1
+            while by_cap[next_cap] in frozen:
+                next_cap += 1
+            step = fcap[by_cap[next_cap]] - level
+            for lid, k in count.items():
+                share = residual[lid] / k
+                if share < step:
+                    step = share
+            step = max(step, 0.0)
+            saturated = []
+            for lid, k in count.items():
+                left = residual[lid] - step * k
+                residual[lid] = left
+                if left <= sat_eps[lid]:
+                    saturated.append(lid)
+            level += step
+
+            newly = []
+            while next_limit < n:
+                slot = by_limit[next_limit]
+                if limit[slot] > level:
+                    break
+                next_limit += 1
+                if slot not in frozen:
+                    frozen.add(slot)
+                    newly.append(slot)
+            for lid in saturated:
+                for slot in users[lid]:
+                    if slot not in frozen:
+                        frozen.add(slot)
+                        newly.append(slot)
+            for slot in newly:
+                rate[slot] = level
+            if len(frozen) == n or not newly:
+                # Done; or the safety valve: no progress is only possible
+                # through floating-point pathology, so freeze everything
+                # rather than spin.
+                break
+            for slot in newly:
+                for lid in slot_links[slot]:
+                    k = count[lid] - 1
+                    if k:
+                        count[lid] = k
+                    else:
+                        del count[lid]
+        self.stats["rounds"] += rounds
+        if len(frozen) < n:  # pragma: no cover - safety valve
+            for slot in slots:
+                if slot not in frozen:
+                    rate[slot] = level
+
+    def _fill_large(self, slot_list: List[int]) -> None:
+        """Progressive filling per connected component over NumPy arrays."""
+        if self._cap_array.size != len(self._cap):
+            self._cap_array = np.array(self._cap)
+            self._sat_eps_array = np.array(self._sat_eps)
+        slot_links = self._slot_links
+        slot_cols = self._slot_cols
+        rows = []
+        for slot in slot_list:
+            cols = slot_cols[slot]
+            if cols is None:
+                cols = slot_cols[slot] = np.array(slot_links[slot], dtype=np.int64)
+            rows.append(cols)
+        n = len(slot_list)
+        slots = np.array(slot_list, dtype=np.int64)
+        row_lens = np.fromiter(map(len, rows), dtype=np.int64, count=n)
+        cols = np.concatenate(rows)
         uniq, inv = np.unique(cols, return_inverse=True)
-        residual = self._cap[uniq].copy()
-        sat_eps = self._sat_eps[uniq]
+        residual = self._cap_array[uniq].copy()
+        sat_eps = self._sat_eps_array[uniq]
         ptr = np.zeros(slots.size + 1, dtype=np.int64)
         np.cumsum(row_lens, out=ptr[1:])
 
         cur_slots = slots
         rate = np.zeros(slots.size)
-        fcap = self._fcap[slots].copy()
-        fcap_eps = self._fcap_eps[slots]
+        fcap = np.fromiter(map(self._fcap.__getitem__, slot_list), np.float64, n)
+        limit = np.fromiter(map(self._flimit.__getitem__, slot_list), np.float64, n)
         count = np.bincount(inv, minlength=uniq.size).astype(np.float64)
         unfrozen = np.ones(slots.size, dtype=bool)
         n_unfrozen = slots.size
@@ -325,7 +411,7 @@ class VectorizedFairShareEngine:
                 row_sat = np.logical_or.reduceat(saturated[inv], ptr[:-1])
             else:
                 row_sat = np.zeros(cur_slots.size, dtype=bool)
-            newly = unfrozen & (row_sat | (rate >= fcap - fcap_eps))
+            newly = unfrozen & (row_sat | (rate >= limit))
             if not newly.any():
                 if max_rounds <= 0 or not np.isfinite(comp_step).any():
                     # Safety valve (same as the reference solver): freeze
@@ -347,7 +433,7 @@ class VectorizedFairShareEngine:
                 # Compact: flush frozen rates, keep only unfrozen rows, and
                 # remap the link arrays to the surviving local ids so every
                 # later round works on the smaller problem.
-                self._rate[cur_slots] = rate
+                self._store_rates(cur_slots[~unfrozen], rate[~unfrozen])
                 keep_rows = np.repeat(unfrozen, row_lens)
                 cur_slots = cur_slots[unfrozen]
                 flow_comp = flow_comp[unfrozen]
@@ -363,68 +449,16 @@ class VectorizedFairShareEngine:
                 np.cumsum(row_lens, out=ptr[1:])
                 rate = rate[unfrozen]
                 fcap = fcap[unfrozen]
-                fcap_eps = fcap_eps[unfrozen]
+                limit = limit[unfrozen]
                 count = np.bincount(inv, minlength=uniq.size).astype(np.float64)
                 unfrozen = np.ones(cur_slots.size, dtype=bool)
 
-        self._rate[cur_slots] = rate
+        self._store_rates(cur_slots, rate)
 
-    def _fill_small(self, slots: np.ndarray) -> None:
-        """Scalar progressive filling for a small component.
-
-        Identical algorithm (and trajectory) to the reference solver, but
-        reading capacities/tolerances from the dense tables and writing
-        rates straight into the slot arrays — cheaper than assembling the
-        CSR machinery for a handful of flows.
-        """
-        slot_links = self._slot_links
-        links_of = {s: slot_links[s].tolist() for s in slots.tolist()}
-        residual: dict = {}
-        sat_eps: dict = {}
-        count: dict = {}
-        for s, links in links_of.items():
-            for lid in links:
-                if lid not in residual:
-                    residual[lid] = float(self._cap[lid])
-                    sat_eps[lid] = float(self._sat_eps[lid])
-                    count[lid] = 0
-                count[lid] += 1
-        fcap = {s: float(self._fcap[s]) for s in links_of}
-        fcap_eps = {s: float(self._fcap_eps[s]) for s in links_of}
-        rate = {s: 0.0 for s in links_of}
-        unfrozen = list(links_of)
-        while unfrozen:
-            self.stats["rounds"] += 1
-            step = min(fcap[s] - rate[s] for s in unfrozen)
-            for lid, n in count.items():
-                if n > 0:
-                    share = residual[lid] / n
-                    if share < step:
-                        step = share
-            step = max(step, 0.0)
-            saturated = set()
-            for lid, n in count.items():
-                if n > 0:
-                    residual[lid] -= step * n
-                    if residual[lid] <= sat_eps[lid]:
-                        saturated.add(lid)
-            still = []
-            for s in unfrozen:
-                rate[s] += step
-                if rate[s] >= fcap[s] - fcap_eps[s]:
-                    frozen = True
-                else:
-                    frozen = any(lid in saturated for lid in links_of[s])
-                if frozen:
-                    for lid in links_of[s]:
-                        count[lid] -= 1
-                else:
-                    still.append(s)
-            if len(still) == len(unfrozen):  # pragma: no cover - safety valve
-                break
-            unfrozen = still
-        for s, value in rate.items():
-            self._rate[s] = value
+    def _store_rates(self, slots: np.ndarray, rates: np.ndarray) -> None:
+        rate = self._rate
+        for slot, value in zip(slots.tolist(), rates.tolist()):
+            rate[slot] = value
 
     @staticmethod
     def _label_components(
@@ -455,32 +489,42 @@ class VectorizedFairShareEngine:
     def advance(self, dt: float) -> None:
         if dt <= 0:
             return
-        # Dead slots keep rate == 0, so the unmasked update is safe.
-        self._remaining -= self._rate * dt
+        remaining = self._remaining
+        rate = self._rate
+        for slot in self._slot_of.values():
+            remaining[slot] -= rate[slot] * dt
 
     def completion_horizon(self) -> float:
-        moving = self._rate > EPS
-        if not moving.any():
-            return float("inf")
-        return float(np.min(self._remaining[moving] / self._rate[moving]))
+        remaining = self._remaining
+        rate = self._rate
+        horizon = float("inf")
+        for slot in self._slot_of.values():
+            moving = rate[slot]
+            if moving > EPS:
+                cycles = remaining[slot] / moving
+                if cycles < horizon:
+                    horizon = cycles
+        return horizon
 
     def drained(self, threshold: float) -> List[FlowState]:
-        mask = self._alive & (self._remaining <= threshold)
+        remaining = self._remaining
+        slots = [s for s in self._slot_of.values() if remaining[s] <= threshold]
+        slots.sort()
         flows: List[FlowState] = []
-        for slot in np.flatnonzero(mask).tolist():
+        for slot in slots:
             flow = self._flow_at[slot]
-            flow.remaining = float(self._remaining[slot])
-            flow.rate = float(self._rate[slot])
+            flow.remaining = remaining[slot]
+            flow.rate = self._rate[slot]
             flows.append(flow)
         return flows
 
     # -- per-flow access ---------------------------------------------------
 
     def rate_of(self, flow: FlowState) -> float:
-        return float(self._rate[self._slot_of[flow.flow_id]])
+        return self._rate[self._slot_of[flow.flow_id]]
 
     def remaining_of(self, flow: FlowState) -> float:
-        return float(self._remaining[self._slot_of[flow.flow_id]])
+        return self._remaining[self._slot_of[flow.flow_id]]
 
 
 __all__ = ["VectorizedFairShareEngine"]

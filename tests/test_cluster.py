@@ -6,10 +6,14 @@ double-allocates nodes, queues when the machine is full, re-admits at the
 completion cycle, and replays deterministically; slowdown/stretch come
 from memoized isolated baselines; per-job rows fold into the
 interference matrix; `cluster.job` spans and job-count gauges land in
-telemetry snapshots.
+telemetry snapshots; a dense flow-backend replay is pinned bit for bit.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -276,6 +280,55 @@ class TestClusterScheduler:
         ]
         assert all(e["cat"] == "cluster" for e in job_events)
         assert all("wait" in e["args"] for e in job_events)
+
+
+class TestFlowReplayPin:
+    """Golden pin of a dense heavy replay on the flow backend.
+
+    The flit backend's behaviour is pinned by sha256 digests; this is the
+    flow backend's counterpart.  Twelve heavy jobs arrive ten times denser
+    than the synthetic trace draws them on a 176-node machine, so flows
+    of many jobs share links and the fair-share engine re-solves
+    thousands of times.  Any change to the engine's float trajectory,
+    its component walk or its fill split moves the per-job rows or the
+    solve counters.
+    """
+
+    DIGEST = "fee58ef70e8645ff5fc8d64c13a679c6dc05d162bf2bb3d9fa96c9e67cdb3f35"
+    SOLVER_STATS = {
+        "solves": 3506,
+        "full": 801,
+        "incremental": 1167,
+        "skipped": 1538,
+        "rounds": 2575,
+        "flows_touched": 5526,
+        "aborts": 801,
+    }
+
+    def test_dense_heavy_replay(self):
+        config = SimulationConfig(
+            topology=TopologyConfig(
+                num_groups=11,
+                chassis_per_group=2,
+                blades_per_chassis=4,
+                nodes_per_router=2,
+            ),
+            seed=7,
+            backend="flow",
+        )
+        trace = JobTrace.synthetic(7, 12, load="heavy", max_nodes=32)
+        dense = JobTrace(
+            name=trace.name + "-dense",
+            jobs=tuple(
+                dataclasses.replace(job, submit_time=job.submit_time // 10)
+                for job in trace.jobs
+            ),
+        )
+        network = build_network_model(config)
+        result = ClusterScheduler(network, dense).replay()
+        rows = json.dumps(result.job_rows(), sort_keys=True, separators=(",", ":"))
+        assert network.solver_stats == self.SOLVER_STATS
+        assert hashlib.sha256(rows.encode()).hexdigest() == self.DIGEST
 
 
 class TestJainFairness:

@@ -3,11 +3,13 @@
 The vectorized engine (`repro/model/flow/vectorized.py`) must compute the
 same max-min allocation as the pure-Python reference solver — the unique
 water-filling fixed point — within an EPS-scaled tolerance, under both
-from-scratch and incremental (add/remove churn) solving.
+from-scratch and incremental (add/remove churn) solving.  A seeded churn
+run also pins the engine's own float trajectory bit for bit.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -37,8 +39,11 @@ def _assert_rates_match(reference_flows, engine, engine_flows):
         )
 
 
-def _random_instance(rng, nlinks=None, nflows=None):
-    """A random heterogeneous-capacity instance, as (capacities, flow specs)."""
+def _random_instance(rng, nlinks=None, nflows=None, repeat=0.0):
+    """A random heterogeneous-capacity instance, as (capacities, flow specs).
+
+    With probability ``repeat`` a flow lists one of its links twice.
+    """
     nlinks = nlinks or rng.randint(2, 24)
     capacities = {
         f"l{i}": rng.choice([1e-3, 0.333, 1.0, 4.0, 1e6]) for i in range(nlinks)
@@ -48,9 +53,16 @@ def _random_instance(rng, nlinks=None, nflows=None):
         links = tuple(
             rng.sample(sorted(capacities), rng.randint(1, min(6, nlinks)))
         )
+        if repeat and rng.random() < repeat:
+            at = rng.randrange(len(links) + 1)
+            links = links[:at] + (rng.choice(links),) + links[at:]
         cap = rng.choice([float("inf"), 0.25, 0.5, 2.0])
         specs.append((fid, links, cap))
     return capacities, specs
+
+
+def _has_repeat(links) -> bool:
+    return len(set(links)) < len(links)
 
 
 class TestEngineSelection:
@@ -230,27 +242,60 @@ class TestReferenceVectorizedEquivalence:
             engine.solve()
             _assert_rates_match(ref_flows, engine, vec_flows)
 
+    @pytest.mark.parametrize("nflows", [1, 2, 7, 48, 49, 150])
+    def test_repeated_links_match_reference(self, nflows):
+        """Flows listing a link twice count it once per occurrence on every
+        fill path: the single-flow path (1 flow), the joint fill (2-48)
+        and the per-component NumPy fill (more than 48)."""
+        rng = random.Random(1000 + nflows)
+        repeats = 0
+        for _ in range(8):
+            capacities, specs = _random_instance(rng, nflows=nflows, repeat=0.5)
+            repeats += sum(_has_repeat(links) for _fid, links, _cap in specs)
+            reference = FairShareSolver(capacities.__getitem__)
+            ref_flows = [FlowState(f, links, 100.0, cap=cap) for f, links, cap in specs]
+            reference.solve(ref_flows)
+            engine = make_engine("vectorized", capacities.__getitem__)
+            vec_flows = [FlowState(f, links, 100.0, cap=cap) for f, links, cap in specs]
+            for flow in vec_flows:
+                engine.add_flow(flow)
+            engine.solve()
+            # All links start dirty, so the one solve fills every flow at once.
+            assert engine.stats["flows_touched"] == nflows
+            _assert_rates_match(ref_flows, engine, vec_flows)
+        assert repeats > 0
+
     @pytest.mark.parametrize("seed", [13, 99])
     def test_incremental_equivalence_under_churn(self, seed):
         """Incremental component re-solves match a fresh full reference
         solve after every membership change."""
-        rng = random.Random(seed)
+        self._churn_against_reference(random.Random(seed))
+
+    def test_incremental_equivalence_with_repeated_links(self):
+        """The same churn with some flows listing a link twice."""
+        added = self._churn_against_reference(random.Random(5), repeat=0.3)
+        assert any(_has_repeat(flow.links) for flow in added)
+
+    def _churn_against_reference(self, rng, repeat=0.0):
+        """Random add/remove churn, checked against the reference after
+        every solve; returns the flows added."""
         capacities = {f"l{i}": rng.choice([0.5, 1.0, 3.0]) for i in range(30)}
         engine = make_engine("vectorized", capacities.__getitem__)
         reference = FairShareSolver(capacities.__getitem__)
         live = {}
+        added = []
         next_id = 0
         for _ in range(150):
             if live and rng.random() < 0.4:
                 victim = live.pop(rng.choice(sorted(live)))
                 engine.remove_flow(victim)
             else:
-                flow = FlowState(
-                    next_id,
-                    tuple(rng.sample(sorted(capacities), rng.randint(1, 5))),
-                    50.0,
-                )
+                links = tuple(rng.sample(sorted(capacities), rng.randint(1, 5)))
+                if repeat and rng.random() < repeat:
+                    links += (rng.choice(links),)
+                flow = FlowState(next_id, links, 50.0)
                 engine.add_flow(flow)
+                added.append(flow)
                 live[next_id] = flow
                 next_id += 1
             engine.solve()
@@ -262,6 +307,7 @@ class TestReferenceVectorizedEquivalence:
         # Churn over clustered links must actually exercise the
         # incremental path, not just repeated full solves.
         assert engine.stats["incremental"] > 0
+        return added
 
     def test_disjoint_components_solved_independently(self):
         """Flows in untouched components keep their rates bit-identical."""
@@ -294,6 +340,78 @@ class TestReferenceVectorizedEquivalence:
         assert engine.completion_horizon() == pytest.approx(10.0)
         engine.advance(10.0)
         assert set(engine.drained(1e-6)) == set(flows)
+
+
+def _churn_digest(seed: int = 2019):
+    """Seeded churn through the vectorized engine, hashed bit for bit.
+
+    300 links; bursts of up to 60 flows of 1-3 links (a tenth list one of
+    them twice) alternate with random removals.  Every step solves,
+    advances, removes what drained, solves again and asks for the
+    horizon.  The digest covers the drained flow-id order, ``float.hex()``
+    of the horizon and of every live flow's rate and remaining volume.
+    Returns ``(sha256 hex digest, final stats)``.
+    """
+    rng = random.Random(seed)
+    names = [f"l{i}" for i in range(300)]
+    capacities = {name: rng.choice([0.5, 1.0, 2.0, 3.0]) for name in names}
+    engine = make_engine("vectorized", capacities.__getitem__)
+    live = {}
+    digest = hashlib.sha256()
+    next_id = 0
+    for _ in range(160):
+        if live and rng.random() < 0.3:
+            for fid in rng.sample(sorted(live), rng.randint(1, len(live))):
+                engine.remove_flow(live.pop(fid))
+        else:
+            for _ in range(rng.randint(1, 60)):
+                links = tuple(rng.choice(names) for _ in range(rng.randint(1, 3)))
+                if rng.random() < 0.1:
+                    links += links[:1]
+                cap = rng.choice([float("inf"), 0.25, 0.5, 2.0])
+                flow = FlowState(next_id, links, rng.uniform(1.0, 400.0), cap=cap)
+                engine.add_flow(flow)
+                live[next_id] = flow
+                next_id += 1
+        engine.solve()
+        engine.advance(rng.randint(1, 40))
+        drained = engine.drained(1e-6)
+        for flow in drained:
+            engine.remove_flow(live.pop(flow.flow_id))
+        engine.solve()
+        digest.update(repr([flow.flow_id for flow in drained]).encode())
+        digest.update(engine.completion_horizon().hex().encode())
+        for fid in sorted(live):
+            digest.update(engine.rate_of(live[fid]).hex().encode())
+            digest.update(engine.remaining_of(live[fid]).hex().encode())
+    return digest.hexdigest(), dict(engine.stats)
+
+
+class TestBitExactChurnPin:
+    """The engine's float trajectory, pinned to the last bit.
+
+    The reference-parity tests above allow a relative tolerance; this pin
+    allows none.  It catches any change to the order of the fill's float
+    operations, to which flows a solve fills jointly (the component walk's
+    abort and the small/large fill split), to slot reuse (the order
+    ``drained`` reports), and to the solve counters.
+    """
+
+    DIGEST = "b57ab4fc241c894262a48f3808497963d05e49138672f44f638651c34ea236c0"
+    STATS = {
+        "solves": 320,
+        "full": 212,
+        "incremental": 52,
+        "skipped": 56,
+        "rounds": 5681,
+        "flows_touched": 40434,
+        "aborts": 212,
+    }
+
+    def test_churn_digest_and_stats(self):
+        digest, stats = _churn_digest()
+        assert stats == self.STATS
+        assert digest == self.DIGEST
 
 
 class TestNetworkEngineParity:
