@@ -4,15 +4,15 @@ The campaign subsystem turns the per-figure experiment scripts into a
 system: scenarios are named, parameterized specs registered in a global
 registry (:mod:`repro.campaign.registry`); a sweep planner expands parameter
 grids into content-hashed :class:`~repro.campaign.plan.RunSpec`s
-(:mod:`repro.campaign.plan`); a parallel executor fans runs out over
-``multiprocessing`` with per-run seeds derived from :mod:`repro.sim.rng`
-(:mod:`repro.campaign.executor`); and a result cache + artifact store skips
-runs whose spec hash already has a stored result
-(:mod:`repro.campaign.store`).  Campaigns too big for one host run on the
-distributed coordinator/worker layer (:mod:`repro.campaign.dist`): balanced
-shards leased to workers over a length-prefixed JSON socket/stdio
-transport, results merged into the store as they stream in, dead workers
-re-leased, killed campaigns resumable from the store.
+(:mod:`repro.campaign.plan`); the executor runs them with per-run seeds
+derived from :mod:`repro.sim.rng` (:mod:`repro.campaign.executor`); and a
+result cache + artifact store skips runs whose spec hash already has a
+stored result (:mod:`repro.campaign.store`).  Every parallel run, on one
+host or many, goes through the coordinator/worker layer
+(:mod:`repro.campaign.dist`): balanced shards leased to forked or
+connected workers over a length-prefixed JSON socket transport, results
+merged into the store as they stream in, dead workers re-leased, killed
+campaigns resumable from the store.
 """
 
 from repro.campaign.plan import (

@@ -18,25 +18,36 @@ background heartbeats all refresh a lease.  A lease that goes silent for
 *unfinished* cells are re-queued as a new shard (finished cells were
 already merged) and handed to the next free worker.  A shard abandoned
 ``max_leases`` times stops being retried and its remaining cells become
-failed records, so one poisonous cell cannot wedge the campaign.  Locally
-spawned workers are respawned (within a budget) when they die with work
-still pending.
+failed records, so one poisonous cell cannot wedge the campaign.  Workers
+the coordinator started itself are replaced (within a budget) when they
+die with work still pending.
+
+``local`` workers are children forked from the coordinator, one
+``socketpair`` each (:func:`~repro.campaign.dist.worker.serve_forked`), so
+they start without an interpreter start-up and with every registered
+scenario.  ``socket`` workers, and ``local`` ones where ``os.fork`` does
+not exist, are spawned ``repro campaign worker --connect`` processes: the
+code an external worker runs.
 """
 
 from __future__ import annotations
 
+import os
 import pathlib
 import queue
+import signal
+import socket
 import subprocess
 import sys
 import threading
 import time
+import traceback
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.campaign.dist.protocol import Channel, ProtocolError
 from repro.campaign.dist.shard import Shard, ShardPlanner
-from repro.campaign.dist.worker import DEFAULT_HEARTBEAT_S
+from repro.campaign.dist.worker import DEFAULT_HEARTBEAT_S, serve_forked
 from repro.campaign.executor import CampaignResult, ProgressFn, RunRecord, run_audits
 from repro.campaign.plan import CampaignPlan, RunSpec
 from repro.campaign.store import ArtifactStore
@@ -49,11 +60,16 @@ import logging
 TRANSPORTS = ("local", "socket")
 
 
+def _can_fork() -> bool:
+    """Whether ``local`` workers are forked (else spawned; see the module doc)."""
+    return hasattr(os, "fork")
+
+
 @dataclass(frozen=True)
 class DistOptions:
     """Knobs of one distributed execution."""
 
-    #: Worker processes the coordinator spawns (socket transport also
+    #: Worker processes the coordinator starts (socket transport also
     #: accepts external ``repro campaign worker --connect`` processes on
     #: top of these; ``workers=0`` is valid there and waits for them).
     workers: int = 2
@@ -68,13 +84,16 @@ class DistOptions:
     max_shard_cells: int = 64
     #: Give up on a shard's remaining cells after this many leases.
     max_leases: int = 3
-    #: Results a spawned worker buffers into one ``result_batch`` frame.
+    #: Results each started worker buffers into one ``result_batch`` frame.
     #: 1 (the default) streams every cell the moment it finishes; raise it
     #: when cells are sub-millisecond and framing dominates the wire cost.
     batch_results: int = 1
     #: Module spawned workers import before serving (extra scenarios).
+    #: Forked ``local`` workers ignore it: they already hold every
+    #: scenario this process registered.
     preload: Optional[str] = None
     #: Extra environment for spawned workers (merged over the parent's).
+    #: Forked ``local`` workers ignore it, like ``preload``.
     extra_env: Optional[Mapping[str, str]] = None
 
     def __post_init__(self) -> None:
@@ -107,12 +126,44 @@ class _Lease:
     timeline: Optional[Dict] = None
 
 
+class _ForkedProcess:
+    """A forked worker, watched through the :class:`subprocess.Popen` calls
+    the coordinator makes (``pid``, ``poll``, ``wait``, ``kill``)."""
+
+    def __init__(self, pid: int) -> None:
+        self.pid = pid
+        self.returncode: Optional[int] = None
+
+    def poll(self) -> Optional[int]:
+        if self.returncode is None:
+            try:
+                pid, status = os.waitpid(self.pid, os.WNOHANG)
+            except ChildProcessError:
+                self.returncode = 0  # reaped elsewhere; as Popen assumes
+            else:
+                if pid:
+                    self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+    def wait(self) -> int:
+        if self.poll() is None:
+            self.returncode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self.returncode
+
+    def kill(self) -> None:
+        if self.poll() is None:
+            os.kill(self.pid, signal.SIGKILL)
+
+
+_Process = Union[subprocess.Popen, _ForkedProcess]
+
+
 class _WorkerHandle:
     """Coordinator-side state of one connected worker."""
 
     _counter = 0
 
-    def __init__(self, channel: Channel, proc: Optional[subprocess.Popen] = None) -> None:
+    def __init__(self, channel: Channel, proc: Optional[_Process] = None) -> None:
         _WorkerHandle._counter += 1
         self.handle_id = _WorkerHandle._counter
         self.channel = channel
@@ -157,11 +208,14 @@ class Coordinator:
         self._index_of = {spec.spec_hash(): i for i, spec in enumerate(plan)}
         self._outstanding: Set[str] = set()
         self._reported = 0
-        self._spawned: List[subprocess.Popen] = []
+        self._spawned: List[_Process] = []
         self._reaped: Set[int] = set()
         self._respawn_budget = options.workers * max(1, options.max_leases - 1)
         self._listener = None
         self._accept_thread: Optional[threading.Thread] = None
+        self._readers: List[threading.Thread] = []
+        #: The coordinator's end of every socketpair of a forked worker.
+        self._pair_ends: List[socket.socket] = []
         self._stopping = threading.Event()
         self._log = get_logger("campaign.dist.coordinator")
         # Session telemetry: shard lease->first-result->done timelines,
@@ -174,34 +228,31 @@ class Coordinator:
         self._heartbeat_gaps: List[float] = []
         self._revocations = 0
         self._worker_frames: List[Dict] = []
-        if options.transport == "socket":
-            import socket as socket_mod
-
-            self._listener = socket_mod.socket(
-                socket_mod.AF_INET, socket_mod.SOCK_STREAM
-            )
-            self._listener.setsockopt(
-                socket_mod.SOL_SOCKET, socket_mod.SO_REUSEADDR, 1
-            )
-            self._listener.bind((options.bind_host, options.bind_port))
+        if options.transport == "socket" or not _can_fork():
+            self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            if options.transport == "socket":
+                self._listener.bind((options.bind_host, options.bind_port))
+            else:
+                self._listener.bind(("127.0.0.1", 0))
             self._listener.listen(16)
 
     @property
     def address(self) -> Optional[Tuple[str, int]]:
-        """The bound (host, port) of the socket transport, else ``None``."""
+        """The bound (host, port) spawned workers connect to, else ``None``."""
         if self._listener is None:
             return None
         return self._listener.getsockname()[:2]
 
     @property
     def worker_pids(self) -> List[int]:
-        """PIDs of the workers this coordinator spawned (tests kill these)."""
+        """PIDs of the live workers this coordinator started (tests kill these)."""
         return [proc.pid for proc in self._spawned if proc.poll() is None]
 
     # -- lifecycle -----------------------------------------------------------
 
     def run(self) -> CampaignResult:
-        """Execute the plan; returns records in plan order, like the pool."""
+        """Execute the plan; returns records in plan order, like the serial loop."""
         result = CampaignResult(plan=self.plan, workers=self.options.workers)
         misses = self._resolve_cached()
         try:
@@ -220,7 +271,7 @@ class Coordinator:
                 self._outstanding = {
                     spec.spec_hash() for shard in shards for spec in shard.specs
                 }
-                self._start_workers()
+                self._start_workers(min(self.options.workers, len(shards)))
                 self._event_loop()
         finally:
             self._shutdown()
@@ -252,22 +303,50 @@ class Coordinator:
 
     # -- worker plumbing -------------------------------------------------------
 
-    def _start_workers(self) -> None:
-        if self.options.transport == "socket":
-            self._accept_thread = threading.Thread(
-                target=self._accept_loop, daemon=True
-            )
-            self._accept_thread.start()
-        for _ in range(self.options.workers):
+    def _start_workers(self, count: int) -> None:
+        if self._listener is None:
+            # The whole fleet forks before any reader thread starts, so
+            # each child is a copy of a single-threaded process.
+            for handle in [self._fork_worker() for _ in range(count)]:
+                self._register(handle)
+            return
+        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self._accept_thread.start()
+        for _ in range(count):
             self._spawn_worker()
 
+    def _fork_worker(self) -> _WorkerHandle:
+        ours, theirs = socket.socketpair()
+        self._pair_ends.append(ours)
+        # Unflushed output would otherwise be written twice, once by each
+        # process.
+        for stream in (sys.stdout, sys.stderr):
+            stream.flush()
+        pid = os.fork()
+        if pid == 0:  # the child never returns into the coordinator
+            code = 1
+            try:
+                code = serve_forked(
+                    theirs,
+                    inherited=self._pair_ends,
+                    heartbeat_s=self.options.heartbeat_s,
+                    batch_results=self.options.batch_results,
+                )
+            except Exception:  # noqa: BLE001 - report, then exit below
+                traceback.print_exc()
+                sys.stderr.flush()
+            finally:
+                os._exit(code)
+        theirs.close()
+        proc = _ForkedProcess(pid)
+        self._spawned.append(proc)
+        log_event(self._log, "worker.forked", pid=pid)
+        return _WorkerHandle(Channel.over_socket(ours, name=f"pid-{pid}"), proc=proc)
+
     def _worker_command(self) -> List[str]:
-        command = [sys.executable, "-m", "repro.experiments.cli", "campaign", "worker"]
-        if self.options.transport == "local":
-            command.append("--stdio")
-        else:
-            host, port = self.address
-            command.extend(["--connect", f"{host}:{port}"])
+        host, port = self.address
+        command = [sys.executable, "-m", "repro.experiments.cli", "campaign", "worker",
+                   "--connect", f"{host}:{port}"]
         command.extend(["--heartbeat", str(self.options.heartbeat_s), "--quiet"])
         if self.options.batch_results > 1:
             command.extend(["--batch-results", str(self.options.batch_results)])
@@ -276,8 +355,6 @@ class Coordinator:
         return command
 
     def _worker_env(self) -> Dict[str, str]:
-        import os
-
         env = dict(os.environ)
         env.update(self.options.extra_env or {})
         # The worker runs `-m repro.experiments.cli`, so the child must be
@@ -295,42 +372,35 @@ class Coordinator:
         return env
 
     def _spawn_worker(self) -> None:
-        stdio = self.options.transport == "local"
-        # Workers inherit stderr: they log there by design (serve_stdio even
-        # redirects stray stdout there), and swallowing it would make a
-        # worker-death loop undiagnosable — the spawned fleet runs --quiet,
-        # so only real failures (tracebacks, import errors) surface.
+        # Workers inherit stderr: they log there by design, and swallowing
+        # it would make a worker-death loop undiagnosable — the spawned
+        # fleet runs --quiet, so only real failures (tracebacks, import
+        # errors) surface.  They register through the accept loop.
         proc = subprocess.Popen(
             self._worker_command(),
-            stdin=subprocess.PIPE if stdio else subprocess.DEVNULL,
-            stdout=subprocess.PIPE if stdio else subprocess.DEVNULL,
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL,
             stderr=None,
             env=self._worker_env(),
         )
         self._spawned.append(proc)
         log_event(self._log, "worker.spawned", pid=proc.pid,
                   transport=self.options.transport)
-        if stdio:
-            channel = Channel(proc.stdout, proc.stdin, name=f"pid-{proc.pid}")
-            self._register(_WorkerHandle(channel, proc=proc))
-        # Socket workers register themselves through the accept loop.
 
     def _register(self, handle: _WorkerHandle) -> None:
         self._handles[handle.handle_id] = handle
-        threading.Thread(
-            target=self._reader_loop, args=(handle,), daemon=True
-        ).start()
+        reader = threading.Thread(target=self._reader_loop, args=(handle,), daemon=True)
+        self._readers.append(reader)
+        reader.start()
 
     def _accept_loop(self) -> None:
-        import socket as socket_mod
-
         while not self._stopping.is_set():
             try:
                 conn, peer = self._listener.accept()
             except OSError:
                 return  # listener closed during shutdown
             try:
-                conn.setsockopt(socket_mod.IPPROTO_TCP, socket_mod.TCP_NODELAY, 1)
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             except OSError:
                 pass
             channel = Channel.over_socket(conn, name=f"{peer[0]}:{peer[1]}")
@@ -498,13 +568,13 @@ class Coordinator:
         self._redistribute()
 
     def _reap_spawned(self) -> None:
-        """Respawn replacements for spawned workers that died with work left.
+        """Start replacements for started workers that died with work left.
 
-        Covers both transports uniformly: a dead stdio child *and* a dead
-        TCP child (whose handle carries no process reference — it registered
-        through the accept loop) show up here as an exited Popen.  Each
-        death spends one unit of the respawn budget, which bounds the blast
-        radius of a cell that reliably kills its worker.
+        Covers every way of starting one uniformly: a dead forked child
+        *and* a dead spawned one (whose handle carries no process reference
+        — it registered through the accept loop) show up here as an exited
+        process.  Each death spends one unit of the respawn budget, which
+        bounds the blast radius of a cell that reliably kills its worker.
         """
         if not self._outstanding:
             return
@@ -516,7 +586,12 @@ class Coordinator:
                 self._respawn_budget -= 1
                 log_event(self._log, "worker.respawned", level=logging.WARNING,
                           dead_pid=proc.pid, budget_left=self._respawn_budget)
-                self._spawn_worker()
+                if self._listener is None:
+                    # Unlike the first fleet, this forks while reader
+                    # threads run; the child touches none of their state.
+                    self._register(self._fork_worker())
+                else:
+                    self._spawn_worker()
 
     def _check_leases(self) -> None:
         now = time.monotonic()
@@ -619,20 +694,28 @@ class Coordinator:
                 pass
         if self._listener is not None:
             try:
-                self._listener.close()
+                # Wakes the accept loop; close() alone may not.
+                self._listener.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+            self._listener.close()
+            if self._accept_thread is not None:
+                self._accept_thread.join(timeout=5.0)
         deadline = time.monotonic() + 5.0
         for proc in self._spawned:
+            while proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.001)
             if proc.poll() is None:
-                try:
-                    proc.wait(timeout=max(0.1, deadline - time.monotonic()))
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait()
+                proc.kill()
+                proc.wait()
         for handle in list(self._handles.values()):
             handle.channel.close()
         self._handles.clear()
+        # Closed channels end their reader loops; joining them means a
+        # later run in this process forks its fleet from a single thread.
+        for reader in self._readers:
+            reader.join(timeout=5.0)
+        self._readers.clear()
         if self.store is not None:
             flush_t0 = time.perf_counter()
             self.store.flush_journal()
@@ -669,10 +752,10 @@ def run_distributed(
 ) -> CampaignResult:
     """Execute a plan on the distributed coordinator/worker topology.
 
-    The drop-in sibling of :func:`repro.campaign.executor.execute_plan`:
-    same store-as-cache semantics, same plan-ordered records, same audit
-    post-pass (audits stay serial in the coordinator process — they are a
-    small high-fidelity sample by design).
+    What :func:`repro.campaign.executor.execute_plan` runs for more than
+    one worker: the serial loop's store-as-cache semantics, plan-ordered
+    records and audit post-pass (audits stay serial in the coordinator
+    process — they are a small high-fidelity sample by design).
     """
     coordinator = Coordinator(
         plan, store=store, options=options, progress=progress, force=force

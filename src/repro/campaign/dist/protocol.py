@@ -2,11 +2,12 @@
 
 A frame is a 4-byte big-endian unsigned length followed by that many bytes
 of UTF-8 JSON encoding one message object.  The framing is transport
-agnostic — the same :class:`Channel` runs over a TCP socket (cross-host
-workers) or over a subprocess's stdin/stdout pipes (the ``local``
-transport) — and deliberately boring: every message is a flat dict with a
-``"type"`` key, so the protocol can be watched with ``tcpdump``/``strace``
-and extended without versioned binary schemas.
+agnostic — the same :class:`Channel` runs over a TCP connection
+(cross-host workers) or over one end of a ``socketpair`` shared with a
+forked child (the ``local`` transport) — and deliberately boring: every
+message is a flat dict with a ``"type"`` key, so the protocol can be
+watched with ``tcpdump``/``strace`` and extended without versioned binary
+schemas.
 
 Message vocabulary (all coordinator/worker traffic):
 
@@ -47,6 +48,7 @@ reconstruct and execute them.
 from __future__ import annotations
 
 import json
+import socket
 import struct
 import threading
 from typing import BinaryIO, Dict, Optional
@@ -82,18 +84,22 @@ class Channel:
     callers treat exactly like a disconnect.
     """
 
-    def __init__(self, reader: BinaryIO, writer: BinaryIO, name: str = "peer") -> None:
+    def __init__(
+        self, reader: BinaryIO, writer: BinaryIO, name: str = "peer", sock=None
+    ) -> None:
         self._reader = reader
         self._writer = writer
         self._send_lock = threading.Lock()
         self._closed = False
         self.name = name
+        #: The connected socket under the streams, if any (see :meth:`close`).
+        self.sock = sock
 
     @staticmethod
     def over_socket(sock, name: str = "peer") -> "Channel":
-        """A channel over a connected TCP socket (one makefile per side)."""
+        """A channel over a connected socket (one makefile per side)."""
         return Channel(
-            sock.makefile("rb"), sock.makefile("wb", buffering=0), name=name
+            sock.makefile("rb"), sock.makefile("wb", buffering=0), name=name, sock=sock
         )
 
     def send(self, message: Dict) -> None:
@@ -139,11 +145,22 @@ class Channel:
         return b"".join(chunks)
 
     def close(self) -> None:
-        """Close both streams (idempotent, swallows errors on dead pipes)."""
+        """Close both streams (idempotent, swallows errors on dead pipes).
+
+        A socket is shut down first, waking a reader blocked in :meth:`recv`
+        on a silent peer; closing its stream would wait on that reader.
+        """
         if self._closed:
             return
         self._closed = True
-        for stream in (self._writer, self._reader):
+        if self.sock is not None:
+            try:
+                self.sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already disconnected
+        for stream in (self._writer, self._reader, self.sock):
+            if stream is None:
+                continue
             try:
                 stream.close()
             except OSError:

@@ -14,13 +14,13 @@ N records into one ``result_batch`` frame.
 Each lease carries the coordinator's ``trace``/``probes`` switches and the
 worker applies them (:func:`repro.telemetry.core.set_instrumentation`)
 before the shard's cells, so a worker started by hand on another host
-records exactly what a spawned one does.
+records exactly what a forked one does.
 
 Liveness is a background heartbeat: while a shard is leased, a daemon
 thread pings the coordinator every ``heartbeat_s`` so a long-running cell
-is distinguishable from a dead worker.  Scenario code that prints to
-stdout would corrupt a stdio transport — :func:`serve_stdio` therefore
-steals fd 1 for the channel and points ``stdout`` at stderr first.
+is distinguishable from a dead worker.  :func:`serve_socket` is the body
+of a ``repro campaign worker --connect`` process; :func:`serve_forked` is
+the body of a child the coordinator forked for the ``local`` transport.
 """
 
 from __future__ import annotations
@@ -29,13 +29,13 @@ import os
 import socket
 import sys
 import threading
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.campaign.dist.protocol import Channel, ProtocolError
 from repro.campaign.plan import RunSpec
-from repro.telemetry.core import TELEMETRY, set_instrumentation, snapshot_of
+from repro.telemetry.core import TELEMETRY, disable, set_instrumentation, snapshot_of
 from repro.telemetry.log import get_logger, log_event
-from repro.telemetry.probes import PROBES
+from repro.telemetry.probes import PROBES, disable_probes
 
 #: Default liveness ping interval (seconds).  Must be well under the
 #: coordinator's lease timeout; see DistOptions.lease_timeout_s.
@@ -88,7 +88,7 @@ def serve_channel(
     """Serve shard leases over an established channel until shutdown.
 
     Returns the number of cells executed.  Failures inside a cell become
-    error records in the result stream (exactly like the pool executor);
+    error records in the result stream (exactly like the serial executor);
     only a broken channel or a protocol violation raises.
 
     ``batch_results`` buffers up to that many finished cells into one
@@ -216,28 +216,41 @@ def serve_socket(
         sock.close()
 
 
-def serve_stdio(
-    name: Optional[str] = None,
+def serve_forked(
+    sock: socket.socket,
+    inherited: Iterable[socket.socket] = (),
     heartbeat_s: float = DEFAULT_HEARTBEAT_S,
-    log=None,
     batch_results: int = 1,
 ) -> int:
-    """Serve over this process's stdin/stdout (the ``local`` transport).
+    """Serve the coordinator this process was forked from; returns an exit code.
 
-    The original stdout fd is duplicated for the channel and fd 1 is then
-    redirected to stderr, so stray ``print``s from scenario code land in
-    the worker's log instead of corrupting the frame stream.
+    ``sock`` is the child's end of a ``socketpair``; ``inherited`` are the
+    coordinator-side sockets the fork copied.  They are closed by fd: via
+    their :class:`Channel` could wait forever on a lock a coordinator reader
+    thread held at fork time, and ``shutdown()`` would cut the coordinator's
+    connection too.  Tracing and probes start off, so a lease switches them
+    on with fresh recorders, not the coordinator's.  Stray prints go to fd
+    2 (``os.dup2(2, 1)``: ``sys.stderr`` may have no file descriptor under
+    a test harness).  The caller must leave by ``os._exit``: interpreter
+    exit would run the coordinator's ``atexit``/``weakref.finalize`` hooks,
+    deleting its temporary directories.
     """
-    wire_in = os.fdopen(os.dup(sys.stdin.fileno()), "rb", buffering=0)
-    wire_out = os.fdopen(os.dup(sys.stdout.fileno()), "wb", buffering=0)
-    sys.stdout.flush()
-    os.dup2(sys.stderr.fileno(), sys.stdout.fileno())
+    for inherited_sock in inherited:
+        fd = inherited_sock.detach()
+        if fd >= 0:
+            os.close(fd)
+    disable()
+    disable_probes()
+    os.dup2(2, 1)
     sys.stdout = sys.stderr
-    channel = Channel(wire_in, wire_out, name="coordinator@stdio")
-    return serve_channel(
-        channel,
-        name=name,
-        heartbeat_s=heartbeat_s,
-        log=log,
-        batch_results=batch_results,
-    )
+    channel = Channel.over_socket(sock, name="coordinator@fork")
+    try:
+        serve_channel(
+            channel,
+            heartbeat_s=heartbeat_s,
+            log=lambda text: None,
+            batch_results=batch_results,
+        )
+    except (ProtocolError, OSError, ValueError):
+        return 3  # the coordinator is gone
+    return 0

@@ -1,19 +1,15 @@
-"""Parallel campaign execution over ``multiprocessing``.
+"""Campaign execution: cache lookups, the serial loop and the audit pass.
 
 The executor takes a :class:`~repro.campaign.plan.CampaignPlan`, skips every
 spec the :class:`~repro.campaign.store.ArtifactStore` already holds, and
-fans the cache misses out over a process pool.  Worker processes receive
-only the picklable :class:`~repro.campaign.plan.RunSpec`; they re-resolve
-the scenario from the registry and re-derive the run's master seed, so the
-result of a spec is identical whether it runs inline or in a worker.
-
-The pool uses the ``fork`` start method where available (Linux/macOS), so
-children inherit every registered scenario.  Under ``spawn`` (Windows)
-children rebuild the registry by importing :mod:`repro.campaign.scenarios`;
-scenarios registered anywhere else (e.g. ad hoc in a script) are then not
-visible to workers — register them in an imported module, or run with
-``workers=1``.  Records are always returned in plan order regardless of
-which worker finished first.
+runs the cache misses one by one in this process.  With more than one
+worker it hands the plan to the distributed coordinator
+(:mod:`repro.campaign.dist`) instead, which runs the same single-cell
+runner, :func:`run_cell`, in worker processes.  A cell re-resolves its
+scenario from the registry and re-derives the run's master seed from the
+:class:`~repro.campaign.plan.RunSpec` alone, so its result is identical
+wherever it runs.  Records are always returned in plan order regardless
+of which worker finished first.
 
 After the main pass the executor can run **flit audits**: a deterministic,
 seeded sample of the plan's flow-routed cells (``audit_fraction`` > 0,
@@ -26,7 +22,6 @@ simulator.
 from __future__ import annotations
 
 import json
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -128,8 +123,8 @@ class CampaignResult:
 def execute_spec(spec: RunSpec) -> Tuple[Dict, str, float]:
     """Execute one run spec; returns ``(payload, report_text, elapsed_s)``.
 
-    This is the worker entry point: it must stay importable at module level
-    (spawn start method) and must derive everything from the spec alone.
+    This is the worker entry point: it must derive everything from the
+    spec alone.
     """
     from repro.campaign import ensure_builtin_scenarios
 
@@ -204,8 +199,10 @@ def execute_plan(
 ) -> CampaignResult:
     """Execute a plan, using the store as a cache and artifact sink.
 
-    ``workers > 1`` fans cache misses out over a process pool; results are
-    reassembled in plan order either way.  ``force=True`` re-executes specs
+    ``workers > 1`` runs the plan on the distributed coordinator with that
+    many ``local`` workers (:func:`repro.campaign.dist.run_distributed`);
+    ``workers == 1`` runs the cache misses serially in this process.
+    Results are in plan order either way.  ``force=True`` re-executes specs
     even when the store already holds them.
 
     ``audit_fraction > 0`` enables the audit post-pass: a deterministic,
@@ -215,6 +212,17 @@ def execute_plan(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if workers > 1:
+        from repro.campaign.dist.coordinator import DistOptions, run_distributed
+
+        return run_distributed(
+            plan,
+            store=store,
+            options=DistOptions(workers=workers),
+            progress=progress,
+            force=force,
+            audit_fraction=audit_fraction,
+        )
     result = CampaignResult(plan=plan, workers=workers)
     records: List[Optional[RunRecord]] = [None] * len(plan)
     misses: List[Tuple[int, RunSpec]] = []
@@ -251,15 +259,8 @@ def execute_plan(
             reported += 1
             progress(reported, total, record)
 
-    if misses and workers == 1:
-        for index, spec in misses:
-            finish(index, run_cell(spec))
-    elif misses:
-        ctx = _pool_context()
-        with ctx.Pool(processes=min(workers, len(misses))) as pool:
-            outcomes = pool.imap(run_cell, [spec for _, spec in misses], chunksize=1)
-            for (index, _spec), record in zip(misses, outcomes):
-                finish(index, record)
+    for index, spec in misses:
+        finish(index, run_cell(spec))
 
     result.records = [r for r in records if r is not None]
     if audit_fraction > 0.0:
@@ -352,23 +353,24 @@ def run_cell(spec: RunSpec) -> RunRecord:
     """Execute one cell, capturing failures as a record.
 
     The reusable single-cell runner: everything that executes specs — the
-    serial loop, the ``multiprocessing`` pool and the distributed workers
+    serial loop and the distributed workers
     (:mod:`repro.campaign.dist.worker`) — goes through here, so a cell's
-    outcome is identical no matter which execution substrate ran it.  Must
-    stay importable at module level (pool pickling under ``spawn``).
+    outcome is identical no matter which execution substrate ran it.
     """
     with capture() as cap:
         try:
             payload, report, elapsed = execute_spec(spec)
         except ScenarioError as exc:
-            # Most likely cause in a worker: spawn start method + a scenario
-            # registered outside repro.campaign.scenarios (see module docstring).
+            # Most likely cause in a worker: a fresh interpreter (a socket
+            # worker, or any worker where fork is unavailable) and a
+            # scenario registered outside repro.campaign.scenarios.
             return RunRecord(
                 spec=spec,
                 error=(
                     f"{type(exc).__name__}: {exc} — if this scenario is registered "
-                    "in your own module, workers started via 'spawn' cannot see it; "
-                    "register it in an imported module or use workers=1"
+                    "in your own module, a spawned worker cannot see it; "
+                    "load it with 'repro campaign worker --preload MODULE' or "
+                    "use workers=1"
                 ),
             )
         except Exception as exc:  # noqa: BLE001 - failures become part of the result
@@ -382,8 +384,3 @@ def run_cell(spec: RunSpec) -> RunRecord:
         probes=cap.probe_snapshot(),
     )
 
-
-def _pool_context():
-    """Prefer fork (fast, Linux) and fall back to spawn elsewhere."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")

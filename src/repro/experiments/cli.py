@@ -14,11 +14,11 @@ Sweeps::
 
 ``campaign run`` plans a sweep over the requested scenarios' parameter
 grids, skips every run whose spec hash is already in the artifact store and
-fans the rest out over worker processes.
+leases the rest, in shards, to worker processes forked from the
+coordinator (resumable: a killed campaign picks up from the store).
 
-Distributed usage (sharded workers, resumable)::
+Across hosts::
 
-    repro campaign run noise-sweep-large --workers 4 --transport local
     repro campaign run all --workers 2 --transport socket --bind 0.0.0.0:7077
     repro campaign worker --connect coordinator-host:7077   # on other hosts
 """
@@ -96,13 +96,12 @@ def build_campaign_parser() -> argparse.ArgumentParser:
     run.add_argument("--workers", type=int, default=1, help="worker processes")
     run.add_argument(
         "--transport",
-        choices=("pool", "local", "socket"),
-        default="pool",
-        help="execution substrate: in-process 'pool' (multiprocessing, the "
-        "default), distributed 'local' (worker subprocesses over stdio "
-        "pipes) or 'socket' (TCP; spawns --workers local workers and also "
-        "accepts external 'repro campaign worker --connect' processes on "
-        "--bind)",
+        choices=("local", "socket"),
+        default="local",
+        help="how workers reach the coordinator: 'local' (the default; "
+        "workers forked from this process, each over a socketpair) or "
+        "'socket' (TCP; spawns --workers local workers and also accepts "
+        "external 'repro campaign worker --connect' processes on --bind)",
     )
     run.add_argument(
         "--bind",
@@ -116,8 +115,8 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         type=float,
         default=30.0,
         metavar="S",
-        help="distributed transports: revoke a worker's shard lease after "
-        "this many seconds of silence and re-lease it (default: 30)",
+        help="revoke a worker's shard lease after this many seconds of "
+        "silence and re-lease it (default: 30)",
     )
     run.add_argument(
         "--store",
@@ -154,7 +153,7 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         help="enable telemetry for this campaign: per-cell phase/span "
         "snapshots land in the store next to elapsed_s (export with "
         "'repro campaign trace', aggregate with 'status --timings'); "
-        "reaches pool and distributed workers, external ones included "
+        "reaches every worker, external ones included "
         "(default: on when REPRO_TELEMETRY is set)",
     )
     run.add_argument(
@@ -164,9 +163,9 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         "time series and a seeded sample of UGAL routing decisions land as "
         "probes/<hash>.json sidecars in the store (analyze with 'repro "
         "campaign probe'); samples every 256 cycles and audits 2%% of "
-        "decisions; result payloads stay byte-identical; reaches pool and "
-        "distributed workers, external ones included (default: on when "
-        "REPRO_PROBES is set)",
+        "decisions; result payloads stay byte-identical; reaches every "
+        "worker, external ones included (default: on when REPRO_PROBES is "
+        "set)",
     )
 
     lst = sub.add_parser("list", help="list registered scenarios")
@@ -176,19 +175,12 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         "worker",
         help="serve a distributed campaign coordinator (shard-leasing loop)",
     )
-    mode = worker.add_mutually_exclusive_group(required=True)
-    mode.add_argument(
+    worker.add_argument(
         "--connect",
-        default=None,
+        required=True,
         metavar="HOST:PORT",
         help="connect to a coordinator's socket transport (possibly on "
         "another host) and execute leased shards until shutdown",
-    )
-    mode.add_argument(
-        "--stdio",
-        action="store_true",
-        help="serve over stdin/stdout (used by the coordinator's 'local' "
-        "transport; stray stdout output is redirected to stderr)",
     )
     worker.add_argument("--name", default=None, help="worker name (default: host:pid)")
     worker.add_argument(
@@ -363,7 +355,7 @@ def _parse_bind(text: str) -> Tuple[str, int]:
 
 def _worker_main(args, parser) -> int:
     """The ``repro campaign worker`` loop (runs until coordinator shutdown)."""
-    from repro.campaign.dist import serve_socket, serve_stdio
+    from repro.campaign.dist import ProtocolError, serve_socket
 
     if args.heartbeat <= 0:
         parser.error("--heartbeat must be positive")
@@ -379,33 +371,21 @@ def _worker_main(args, parser) -> int:
     # --quiet keeps its meaning (no per-shard lines); otherwise the worker
     # logs through the structured repro.telemetry logger (REPRO_LOG=json|text).
     log = (lambda text: None) if args.quiet else None
-    host = port = None
-    if not args.stdio:
-        try:
-            host, port = _parse_bind(args.connect)
-        except ValueError as exc:
-            parser.error(str(exc))
-        if port == 0:
-            parser.error("--connect needs the coordinator's concrete port")
-    from repro.campaign.dist import ProtocolError
-
     try:
-        if args.stdio:
-            executed = serve_stdio(
-                name=args.name,
-                heartbeat_s=args.heartbeat,
-                log=log,
-                batch_results=args.batch_results,
-            )
-        else:
-            executed = serve_socket(
-                host,
-                port,
-                name=args.name,
-                heartbeat_s=args.heartbeat,
-                log=log,
-                batch_results=args.batch_results,
-            )
+        host, port = _parse_bind(args.connect)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if port == 0:
+        parser.error("--connect needs the coordinator's concrete port")
+    try:
+        executed = serve_socket(
+            host,
+            port,
+            name=args.name,
+            heartbeat_s=args.heartbeat,
+            log=log,
+            batch_results=args.batch_results,
+        )
     except (ProtocolError, ConnectionError, OSError, ValueError) as exc:
         # A coordinator killed mid-frame (ProtocolError) or a dead peer on
         # send (ValueError from a closed stream) is the same event as a
@@ -433,11 +413,12 @@ def campaign_main(argv: Optional[Sequence[str]] = None) -> int:
         ArtifactStore,
         BackendRouter,
         BudgetError,
+        Coordinator,
         CostHistory,
         DistOptions,
         ensure_builtin_scenarios,
-        execute_plan,
         plan_campaign,
+        run_audits,
         select_audit_pairs,
     )
     from repro.campaign.plan import DEFAULT_SEED
@@ -660,8 +641,7 @@ def campaign_main(argv: Optional[Sequence[str]] = None) -> int:
     from repro.telemetry import PROBES, TELEMETRY, set_instrumentation
 
     # The flags only switch on; without them the environment defaults, read
-    # at import, hold.  Set before the fork, the switches reach pool workers
-    # as they are; dist workers get them with every lease.
+    # at import, hold.  Every lease carries them to the workers.
     trace = args.trace or TELEMETRY.enabled
     probes = args.probes or PROBES.enabled
     set_instrumentation(trace, probes)
@@ -737,42 +717,30 @@ def campaign_main(argv: Optional[Sequence[str]] = None) -> int:
         if args.reports and record.ok and record.report:
             print(record.report)
 
-    if args.transport == "pool":
-        result = execute_plan(
-            plan,
-            store=store,
+    try:
+        host, port = _parse_bind(args.bind)
+        options = DistOptions(
             workers=args.workers,
-            progress=progress,
-            force=args.force,
-            audit_fraction=audit_fraction,
+            transport=args.transport,
+            bind_host=host,
+            bind_port=port,
+            lease_timeout_s=args.lease_timeout,
         )
-    else:
-        try:
-            host, port = _parse_bind(args.bind)
-            options = DistOptions(
-                workers=args.workers,
-                transport=args.transport,
-                bind_host=host,
-                bind_port=port,
-                lease_timeout_s=args.lease_timeout,
-            )
-        except ValueError as exc:
-            parser.error(str(exc))
-        from repro.campaign import Coordinator, run_audits
-
-        coordinator = Coordinator(
-            plan, store=store, options=options, progress=progress, force=args.force
+    except ValueError as exc:
+        parser.error(str(exc))
+    coordinator = Coordinator(
+        plan, store=store, options=options, progress=progress, force=args.force
+    )
+    if args.transport == "socket":
+        bound_host, bound_port = coordinator.address
+        print(
+            f"coordinator listening on {bound_host}:{bound_port} — attach "
+            f"more workers with: repro campaign worker "
+            f"--connect {bound_host}:{bound_port}"
         )
-        if coordinator.address is not None:
-            bound_host, bound_port = coordinator.address
-            print(
-                f"coordinator listening on {bound_host}:{bound_port} — attach "
-                f"more workers with: repro campaign worker "
-                f"--connect {bound_host}:{bound_port}"
-            )
-        result = coordinator.run()
-        if audit_fraction > 0.0:
-            run_audits(plan, result, store, audit_fraction, force=args.force)
+    result = coordinator.run()
+    if audit_fraction > 0.0:
+        run_audits(plan, result, store, audit_fraction, force=args.force)
     for audit in result.audits:
         if not audit.ok:
             print(

@@ -244,7 +244,7 @@ def set_instrumentation(trace: bool, probes: bool) -> None:
     setting whoever started the worker.  A switch already in the requested
     state is left alone, recorders included, so a repeated call does
     nothing.  A flipped switch is also written to the environment, where
-    child processes started afterwards (``spawn`` pool workers) read it.
+    child processes spawned afterwards read it.
     """
     if trace != TELEMETRY.enabled:
         if trace:

@@ -1,10 +1,11 @@
 """Distributed campaign execution: protocol, shards, coordinator, resume.
 
-The end-to-end tests spawn real worker subprocesses (stdio and TCP
-transports), so scenarios they execute must be importable by a fresh
-interpreter: cheap test scenarios live in a generated module on
-``sys.path`` handed to workers via ``--preload``, and the crash tests
-SIGKILL actual worker processes mid-shard.
+The end-to-end tests run real worker processes.  ``local`` workers are
+forked from this process and see every scenario it registered; spawned
+ones (the TCP transport, and ``local`` where fork is unavailable) are fresh
+interpreters, so scenarios they execute must be importable: cheap test
+scenarios live in a generated module on ``sys.path`` handed to workers via
+``--preload``.  The crash tests SIGKILL actual worker processes mid-shard.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ import io
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
+import tempfile
 import threading
 
 import pytest
@@ -44,7 +47,7 @@ from repro.campaign.router import CellCost
 from repro.experiments.cli import _parse_bind, campaign_main
 from repro.model.cost import CostEstimate
 from repro.sim.rng import RandomStreams
-from repro.telemetry import disable, disable_probes, enable, enable_probes
+from repro.telemetry import disable, disable_probes, enable, enable_probes, timed
 
 # -- the worker-visible scenario module ---------------------------------------------
 
@@ -388,12 +391,19 @@ class TestResultBatching:
 
     def test_coordinator_passes_flag_to_spawned_workers(self):
         coordinator = Coordinator(
-            _sleepy_plan(1), options=_options(workers=1, batch_results=4)
+            _sleepy_plan(1),
+            options=_options(workers=1, transport="socket", batch_results=4),
         )
-        command = coordinator._worker_command()
-        assert command[command.index("--batch-results") + 1] == "4"
-        plain = Coordinator(_sleepy_plan(1), options=_options(workers=1))
-        assert "--batch-results" not in plain._worker_command()
+        plain = Coordinator(
+            _sleepy_plan(1), options=_options(workers=1, transport="socket")
+        )
+        try:
+            command = coordinator._worker_command()
+            assert command[command.index("--batch-results") + 1] == "4"
+            assert "--batch-results" not in plain._worker_command()
+        finally:
+            coordinator._shutdown()
+            plain._shutdown()
 
     def test_invalid_batch_size_rejected(self):
         with pytest.raises(ValueError, match="batch_results"):
@@ -535,9 +545,103 @@ class TestDistOptions:
             Coordinator(CampaignPlan(name="auto", specs=(spec,)))
 
 
-# -- end-to-end: local (stdio) transport --------------------------------------------
+# -- end-to-end: local (forked) transport -------------------------------------------
+
+def _local_only_runner(scale, *, i=0):
+    return {"metrics": {"i": float(i), "seed": float(scale.seed % 1000)}}
+
+
+def _local_options(workers=2, **kwargs):
+    """Local-transport options without ``preload`` or ``extra_env``."""
+    return DistOptions(
+        workers=workers, transport="local", heartbeat_s=0.2, lease_timeout_s=2.0,
+        **kwargs,
+    )
+
 
 class TestLocalTransport:
+    def test_scenario_registered_only_here_runs_without_preload(self, tmp_path):
+        """Forked workers hold this process's registry; a fresh interpreter
+        would fail every cell with ``unknown scenario``."""
+        try:
+            register(
+                Scenario(
+                    name="_dist-local-only",
+                    description="registered in the test process only",
+                    axes={"i": tuple(range(4))},
+                    runner=_local_only_runner,
+                )
+            )
+        except ScenarioError:
+            pass  # already registered by an earlier run in this process
+        plan = plan_campaign(["_dist-local-only"])
+        result = run_distributed(
+            plan, store=ArtifactStore(tmp_path / "s"), options=_local_options()
+        )
+        assert result.failed == 0, [r.error for r in result.records if r.error]
+        assert result.executed == 4
+
+    def test_coordinator_temporary_directory_survives_the_workers(self):
+        """A forked worker exits without running this process's exit hooks,
+        one of which would delete every live ``TemporaryDirectory``."""
+        with tempfile.TemporaryDirectory() as tmp:
+            store = ArtifactStore(os.path.join(tmp, "store"))
+            result = run_distributed(
+                _sleepy_plan(cells=4), store=store, options=_local_options()
+            )
+            assert result.failed == 0 and result.executed == 4
+            assert os.path.isdir(tmp)
+            assert len(ArtifactStore(os.path.join(tmp, "store"))) == 4
+
+    def test_worker_frames_carry_no_coordinator_span(self, tmp_path):
+        """A forked worker records into fresh recorders, never into the copy
+        of the coordinator's it was born with."""
+        store = ArtifactStore(tmp_path / "s")
+        enable()
+        try:
+            with timed("coordinator-only-marker"):
+                pass
+            result = run_distributed(
+                _sleepy_plan(cells=4), store=store, options=_local_options()
+            )
+        finally:
+            disable()
+        assert result.failed == 0
+        (session,) = [
+            payload for payload in store.load_session_telemetry()
+            if payload["kind"] == "dist"
+        ]
+        frames = session["worker_frames"]
+        assert frames, "no worker sent a shard_done telemetry frame"
+        for frame in frames:
+            assert "coordinator-only-marker" not in json.dumps(frame)
+
+    def test_spawned_workers_where_fork_is_unavailable(
+        self, tmp_path, sleepy_env, monkeypatch
+    ):
+        """Without os.fork, local spawns --connect workers on a loopback port
+        (with preload and extra_env), and the store matches a serial run."""
+        from repro.campaign.dist import coordinator as coordinator_module
+
+        monkeypatch.setattr(coordinator_module, "_can_fork", lambda: False)
+        plan = _sleepy_plan(cells=6)
+        store = ArtifactStore(tmp_path / "spawned")
+        coordinator = Coordinator(
+            plan, store=store, options=_options(workers=2, extra_env=sleepy_env)
+        )
+        assert coordinator.address[0] == "127.0.0.1"
+        result = coordinator.run()
+        assert result.failed == 0, [r.error for r in result.records if r.error]
+        assert result.executed == 6
+        assert coordinator._spawned
+        assert all(isinstance(p, subprocess.Popen) for p in coordinator._spawned)
+        serial_store = _plain_store(plan, tmp_path / "serial")
+        for spec in plan:
+            assert (
+                store.result_path(spec).read_bytes()
+                == serial_store.result_path(spec).read_bytes()
+            ), f"artifact for {spec.label()} differs spawned vs serial"
+
     def test_distributed_matches_single_process_store(self, tmp_path, sleepy_env):
         plan = _sleepy_plan(cells=6)
         dist_store = ArtifactStore(tmp_path / "dist")
@@ -669,12 +773,14 @@ class TestSocketTransport:
         assert result.failed == 2
         assert all("no workers left" in r.error for r in result.records)
 
+    @pytest.mark.parametrize("transport", ["socket", "local"])
     def test_sigkilled_worker_is_re_leased_and_store_matches(
-        self, tmp_path, sleepy_env
+        self, tmp_path, sleepy_env, transport
     ):
         """Crash-resume acceptance: kill a worker mid-shard; the coordinator
         re-leases its cells and the final store is hash-for-hash identical
-        to a single-process run."""
+        to a single-process run.  On ``local`` the replacement forks while
+        the coordinator's reader threads run."""
         plan = _sleepy_plan(cells=6, sleep_s=0.3)
         store = ArtifactStore(tmp_path / "crash")
         first_result = threading.Event()
@@ -687,7 +793,7 @@ class TestSocketTransport:
             store=store,
             options=_options(
                 workers=2,
-                transport="socket",
+                transport=transport,
                 extra_env=sleepy_env,
                 shards_per_worker=2,
             ),
@@ -718,6 +824,59 @@ class TestSocketTransport:
                 == serial_store.result_path(spec).read_bytes()
             ), f"artifact for {spec.label()} differs after crash-resume"
         assert set(store.index()) == set(serial_store.index())
+
+
+    def test_silent_worker_is_revoked_and_its_shard_re_leased(
+        self, tmp_path, monkeypatch
+    ):
+        """A connected worker that takes a lease and goes silent is revoked
+        and its shard re-leased to a live worker; revoking must not wait on
+        the silent connection's reader thread."""
+        from repro.campaign.dist.worker import serve_socket
+
+        # The live worker applies each lease's switches to this process,
+        # writing the environment; monkeypatch restores it.
+        monkeypatch.setenv("REPRO_TELEMETRY", "0")
+        monkeypatch.setenv("REPRO_PROBES", "0")
+        plan = _sleepy_plan(cells=4)
+        coordinator = Coordinator(
+            plan,
+            store=ArtifactStore(tmp_path / "revoked"),
+            options=_options(workers=0, transport="socket", lease_timeout_s=1.0),
+        )
+        outcome = {}
+        # Daemon threads: a wedged coordinator fails the test, not the run.
+        runner = threading.Thread(
+            target=lambda: outcome.update(result=coordinator.run()), daemon=True
+        )
+        runner.start()
+        silent = Channel.over_socket(
+            socket.create_connection(coordinator.address, timeout=30), name="silent"
+        )
+        live = None
+        try:
+            silent.send({"type": "hello", "worker": "silent", "pid": 0, "host": "x"})
+            assert silent.recv()["type"] == "lease"
+            host, port = coordinator.address
+            live = threading.Thread(
+                target=serve_socket,
+                args=(host, port),
+                kwargs={"name": "live", "heartbeat_s": 0.2, "log": lambda text: None},
+                daemon=True,
+            )
+            live.start()
+            runner.join(timeout=30)
+            assert not runner.is_alive(), "coordinator wedged revoking a silent lease"
+        finally:
+            silent.close()
+            if live is not None:
+                live.join(timeout=10)
+            disable()
+            disable_probes()
+        assert not live.is_alive(), "the live worker never saw the shutdown"
+        result = outcome["result"]
+        assert result.failed == 0 and result.executed == 4
+        assert coordinator._revocations == 1
 
 
 # -- coordinator unit behaviour -----------------------------------------------------
