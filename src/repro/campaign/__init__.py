@@ -19,7 +19,6 @@ from repro.campaign.plan import (
     AUTO_BACKEND,
     CampaignPlan,
     RunSpec,
-    expand_scenario,
     plan_campaign,
     scale_for,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "estimate_cell",
     "execute_plan",
     "execute_spec",
-    "expand_scenario",
     "get_scenario",
     "metric_deltas",
     "plan_campaign",

@@ -14,13 +14,14 @@ Failure model
 
 Workers prove liveness through traffic: results, shard-done frames and
 background heartbeats all refresh a lease.  A lease that goes silent for
-``lease_timeout_s`` — or whose connection drops — is revoked: the shard's
-*unfinished* cells are re-queued as a new shard (finished cells were
-already merged) and handed to the next free worker.  A shard abandoned
-``max_leases`` times stops being retried and its remaining cells become
-failed records, so one poisonous cell cannot wedge the campaign.  Workers
-the coordinator started itself are replaced (within a budget) when they
-die with work still pending.
+``lease_timeout_s`` — or whose connection drops, or whose worker sends a
+malformed ``result`` or a frame type the coordinator does not accept — is
+revoked: the shard's *unfinished* cells are re-queued as a new shard
+(finished cells were already merged) and handed to the next free worker.
+A shard abandoned ``max_leases`` times stops being retried and its
+remaining cells become failed records, so one poisonous cell cannot wedge
+the campaign.  Workers the coordinator started itself are replaced
+(within a budget) when they die with work still pending.
 
 ``local`` workers are children forked from the coordinator, one
 ``socketpair`` each (:func:`~repro.campaign.dist.worker.serve_forked`), so
@@ -84,10 +85,6 @@ class DistOptions:
     max_shard_cells: int = 64
     #: Give up on a shard's remaining cells after this many leases.
     max_leases: int = 3
-    #: Results each started worker buffers into one ``result_batch`` frame.
-    #: 1 (the default) streams every cell the moment it finishes; raise it
-    #: when cells are sub-millisecond and framing dominates the wire cost.
-    batch_results: int = 1
     #: Module spawned workers import before serving (extra scenarios).
     #: Forked ``local`` workers ignore it: they already hold every
     #: scenario this process registered.
@@ -112,8 +109,6 @@ class DistOptions:
             )
         if self.max_leases < 1:
             raise ValueError("max_leases must be >= 1")
-        if self.batch_results < 1:
-            raise ValueError("batch_results must be >= 1")
 
 
 @dataclass
@@ -330,7 +325,6 @@ class Coordinator:
                     theirs,
                     inherited=self._pair_ends,
                     heartbeat_s=self.options.heartbeat_s,
-                    batch_results=self.options.batch_results,
                 )
             except Exception:  # noqa: BLE001 - report, then exit below
                 traceback.print_exc()
@@ -348,8 +342,6 @@ class Coordinator:
         command = [sys.executable, "-m", "repro.experiments.cli", "campaign", "worker",
                    "--connect", f"{host}:{port}"]
         command.extend(["--heartbeat", str(self.options.heartbeat_s), "--quiet"])
-        if self.options.batch_results > 1:
-            command.extend(["--batch-results", str(self.options.batch_results)])
         if self.options.preload:
             command.extend(["--preload", self.options.preload])
         return command
@@ -454,11 +446,6 @@ class Coordinator:
             pass  # the timestamp refresh above is the whole point
         elif kind == "result":
             self._merge_result(handle, message)
-        elif kind == "result_batch":
-            # Batched workers pack several result bodies into one frame;
-            # each entry merges exactly like a standalone result frame.
-            for entry in message["results"]:
-                self._merge_result(handle, entry)
         elif kind == "shard_done":
             lease, handle.lease = handle.lease, None
             if lease is not None and lease.timeline is not None:
@@ -471,20 +458,41 @@ class Coordinator:
                 # protocol bug or a filtered duplicate; re-queue the rest.
                 self._requeue(lease)
             self._assign_work(handle)
+        else:
+            self._revoke(handle, "worker.bad_frame", frame=kind)
 
     def _merge_result(self, handle: _WorkerHandle, message: Dict) -> None:
-        spec = RunSpec.from_wire(message["spec"])
-        spec_hash = spec.spec_hash()
+        # A frame that names no plannable spec, carries neither a payload
+        # nor an error, or has no elapsed time is the worker's fault: merged,
+        # it would crash this loop or store a cell that is neither executed
+        # nor failed.
+        payload = message.get("payload")
+        error = message.get("error", "")
+        elapsed_s = message.get("elapsed_s")
+        try:
+            spec = RunSpec.from_wire(message["spec"])
+            spec_hash = spec.spec_hash()
+        except (KeyError, TypeError, ValueError, AttributeError):
+            spec = None
+        if (
+            spec is None
+            or not isinstance(error, str)
+            or not (isinstance(payload, dict) or error)
+            or isinstance(elapsed_s, bool)
+            or not isinstance(elapsed_s, (int, float))
+        ):
+            self._revoke(handle, "worker.bad_frame", frame="result")
+            return
         if spec_hash not in self._outstanding:
             return  # duplicate from a revoked-but-alive lease; already merged
         telemetry = message.get("telemetry")
         probes = message.get("probes")
         record = RunRecord(
             spec=spec,
-            payload=message.get("payload"),
+            payload=payload,
             report=str(message.get("report", "")),
-            elapsed_s=float(message.get("elapsed_s", 0.0)),
-            error=str(message.get("error", "")),
+            elapsed_s=float(elapsed_s),
+            error=str(error),
             telemetry=telemetry if isinstance(telemetry, dict) else None,
             probes=probes if isinstance(probes, dict) else None,
         )
@@ -600,18 +608,30 @@ class Coordinator:
             if lease is None:
                 continue
             if now - lease.last_seen > self.options.lease_timeout_s:
-                # Silent worker: revoke.  Closing the channel pops the reader
-                # loop, which funnels into _on_closed for the actual re-queue
-                # (and kills the process if it was ours, below).
-                self._revocations += 1
-                if lease.timeline is not None:
-                    lease.timeline["revoked"] = True
-                log_event(self._log, "lease.revoked", level=logging.WARNING,
-                          shard=lease.shard.shard_id, worker=handle.name,
-                          silent_s=round(now - lease.last_seen, 3))
-                if handle.proc is not None and handle.proc.poll() is None:
-                    handle.proc.kill()
-                handle.channel.close()
+                self._revoke(handle, "lease.revoked",
+                             silent_s=round(now - lease.last_seen, 3))
+
+    def _revoke(self, handle: _WorkerHandle, event: str, **fields) -> None:
+        """Drop a silent or protocol-violating worker and revoke its lease.
+
+        Closing the channel pops the reader loop, which funnels into
+        :meth:`_on_closed` for the re-queue of the lease's unfinished cells.
+        Frames it queued before that are still handled, so the handle stops
+        being ready: no new lease goes to a closed channel.  A worker this
+        coordinator started is killed too.
+        """
+        handle.ready = False
+        lease = handle.lease
+        if lease is not None:
+            self._revocations += 1
+            if lease.timeline is not None:
+                lease.timeline["revoked"] = True
+        log_event(self._log, event, level=logging.WARNING,
+                  shard=lease.shard.shard_id if lease is not None else None,
+                  worker=handle.name, **fields)
+        if handle.proc is not None and handle.proc.poll() is None:
+            handle.proc.kill()
+        handle.channel.close()
 
     def _check_starvation(self) -> None:
         """Abandon work that can never run: no workers and no way to get any.

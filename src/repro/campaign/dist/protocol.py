@@ -19,14 +19,15 @@ type              direction  meaning
                              plus the coordinator's ``trace`` and
                              ``probes`` switches (booleans)
 ``result``        w -> c     one finished cell (payload/report/elapsed/error)
-``result_batch``  w -> c     several finished cells in one frame: a
-                             ``results`` list whose entries are ``result``
-                             bodies (sans ``type``/``shard``) — sent by
-                             workers running with ``--batch-results N > 1``
 ``shard_done``    w -> c     every cell of the leased shard was streamed back
 ``heartbeat``     w -> c     liveness while executing a long cell
 ``shutdown``      c -> w     no more work; the worker exits its serve loop
 ================  =========  =================================================
+
+The coordinator drops a worker that sends it any other frame type, or a
+``result`` whose spec does not decode, whose ``elapsed_s`` is not a number,
+or that carries neither a dict ``payload`` nor a non-empty ``error``: the
+worker's lease is revoked and its unfinished cells go to another worker.
 
 A worker sets its own tracing and probes to a lease's ``trace`` and
 ``probes`` values before running the shard, so every worker, however it was

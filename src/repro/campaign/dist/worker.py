@@ -5,11 +5,9 @@ A worker is a plain process (same host or another one) running
 Channel`.  It owns no store and no plan — it announces itself, receives
 shard leases, executes each cell with the executor's single-cell runner
 (:func:`repro.campaign.executor.run_cell`) and streams every record back
-the moment it finishes, so the coordinator can merge results (and survive
-this worker's death) without waiting for shard boundaries.  When cells are
-so short that framing dominates (sub-millisecond audit or smoke cells),
-``batch_results`` trades that immediacy for throughput by buffering up to
-N records into one ``result_batch`` frame.
+the moment it finishes, one ``result`` frame per cell, so the coordinator
+can merge results (and survive this worker's death) without waiting for
+shard boundaries.
 
 Each lease carries the coordinator's ``trace``/``probes`` switches and the
 worker applies them (:func:`repro.telemetry.core.set_instrumentation`)
@@ -83,28 +81,16 @@ def serve_channel(
     name: Optional[str] = None,
     heartbeat_s: float = DEFAULT_HEARTBEAT_S,
     log=None,
-    batch_results: int = 1,
 ) -> int:
     """Serve shard leases over an established channel until shutdown.
 
     Returns the number of cells executed.  Failures inside a cell become
     error records in the result stream (exactly like the serial executor);
     only a broken channel or a protocol violation raises.
-
-    ``batch_results`` buffers up to that many finished cells into one
-    ``result_batch`` frame before sending.  The default of 1 streams every
-    cell the moment it finishes (a plain ``result`` frame, the historical
-    wire behaviour); larger values amortize framing and syscall cost when
-    cells are sub-millisecond and the frame overhead dominates.  The buffer
-    is always flushed before ``shard_done``, so a batch never outlives its
-    shard — at most ``batch_results - 1`` results are lost if this worker
-    dies mid-shard, and those cells are re-leased like any unfinished work.
     """
     from repro.campaign import ensure_builtin_scenarios
     from repro.campaign.executor import run_cell
 
-    if batch_results < 1:
-        raise ValueError(f"batch_results must be >= 1, got {batch_results}")
     ensure_builtin_scenarios()
     name = name or default_worker_name()
     if log is None:
@@ -134,32 +120,12 @@ def serve_channel(
             )
             log(f"[{name}] leased shard {shard_id} ({len(specs)} cell(s))")
             heartbeat.watch(shard_id)
-            buffered: list = []
-
-            def flush(shard_id=shard_id, buffered=buffered) -> None:
-                if not buffered:
-                    return
-                if len(buffered) == 1:
-                    # A lone result travels as the classic frame, so a
-                    # batching worker against an old coordinator degrades
-                    # gracefully for shards of one cell.
-                    channel.send(
-                        {"type": "result", "shard": shard_id, **buffered[0]}
-                    )
-                else:
-                    channel.send(
-                        {
-                            "type": "result_batch",
-                            "shard": shard_id,
-                            "results": list(buffered),
-                        }
-                    )
-                buffered.clear()
-
             for spec in specs:
                 record = run_cell(spec)
                 executed += 1
                 result = {
+                    "type": "result",
+                    "shard": shard_id,
                     "spec": spec.to_wire(),
                     "elapsed_s": record.elapsed_s,
                     "error": record.error,
@@ -171,10 +137,7 @@ def serve_channel(
                     result["telemetry"] = record.telemetry
                 if record.probes is not None:
                     result["probes"] = record.probes
-                buffered.append(result)
-                if len(buffered) >= batch_results:
-                    flush()
-            flush()
+                channel.send(result)
             heartbeat.watch(None)
             done = {"type": "shard_done", "shard": shard_id}
             if TELEMETRY.enabled:
@@ -195,7 +158,6 @@ def serve_socket(
     name: Optional[str] = None,
     heartbeat_s: float = DEFAULT_HEARTBEAT_S,
     log=None,
-    batch_results: int = 1,
 ) -> int:
     """Connect to a coordinator's TCP endpoint and serve until shutdown."""
     sock = socket.create_connection((host, port))
@@ -205,13 +167,7 @@ def serve_socket(
         pass  # not fatal; some stacks refuse the option
     channel = Channel.over_socket(sock, name=f"coordinator@{host}:{port}")
     try:
-        return serve_channel(
-            channel,
-            name=name,
-            heartbeat_s=heartbeat_s,
-            log=log,
-            batch_results=batch_results,
-        )
+        return serve_channel(channel, name=name, heartbeat_s=heartbeat_s, log=log)
     finally:
         sock.close()
 
@@ -220,7 +176,6 @@ def serve_forked(
     sock: socket.socket,
     inherited: Iterable[socket.socket] = (),
     heartbeat_s: float = DEFAULT_HEARTBEAT_S,
-    batch_results: int = 1,
 ) -> int:
     """Serve the coordinator this process was forked from; returns an exit code.
 
@@ -245,12 +200,7 @@ def serve_forked(
     sys.stdout = sys.stderr
     channel = Channel.over_socket(sock, name="coordinator@fork")
     try:
-        serve_channel(
-            channel,
-            heartbeat_s=heartbeat_s,
-            log=lambda text: None,
-            batch_results=batch_results,
-        )
+        serve_channel(channel, heartbeat_s=heartbeat_s, log=lambda text: None)
     except (ProtocolError, OSError, ValueError):
         return 3  # the coordinator is gone
     return 0

@@ -12,14 +12,13 @@ Backend routing
 ---------------
 
 ``backend="auto"`` asks the planner to pick the substrate: the cell is
-costed under every backend with a registered cost model
-(:mod:`repro.model.cost`) and a :class:`~repro.campaign.router.
-BackendRouter` resolves it to a concrete backend at plan time, optionally
-under a total work budget.  An unresolved ``auto`` spec has **no** content
-hash — only concrete, executable specs are cacheable — and a routed spec
-records its provenance in ``routed_from``, which enters the canonical form
-(SPEC_FORMAT 3) so auto-routed results are cached separately from
-explicitly pinned ones.
+costed under both backends (:data:`repro.model.cost.COST_MODELS`) and a
+:class:`~repro.campaign.router.BackendRouter` resolves it to a concrete
+backend at plan time, optionally under a total work budget.  An
+unresolved ``auto`` spec has **no** content hash — only concrete,
+executable specs are cacheable — and a routed spec records its provenance
+in ``routed_from``, which enters the canonical form (SPEC_FORMAT 3) so
+auto-routed results are cached separately from explicitly pinned ones.
 """
 
 from __future__ import annotations
@@ -327,17 +326,16 @@ def _expand_raw(
     spec: Scenario,
     scale: str,
     seed: int,
-    overrides: Optional[Mapping[str, Sequence[object]]],
+    overrides: Mapping[str, Sequence[object]],
     backend: str,
 ) -> List[RunSpec]:
-    """Grid expansion alone — specs may still carry ``backend="auto"``."""
+    """Grid expansion alone — specs may still carry ``backend="auto"``.
+
+    ``overrides`` name only axes the scenario has (:func:`plan_campaign`
+    filters them).
+    """
     axes: Dict[str, Tuple[object, ...]] = {k: tuple(v) for k, v in spec.axes.items()}
-    for axis, values in (overrides or {}).items():
-        if axis not in axes:
-            raise ScenarioError(
-                f"scenario {spec.name!r} has no axis {axis!r} "
-                f"(axes: {', '.join(sorted(axes)) or '<none>'})"
-            )
+    for axis, values in overrides.items():
         if not values:
             raise ValueError(f"override for axis {axis!r} is empty")
         axes[axis] = tuple(values)
@@ -356,37 +354,6 @@ def _expand_raw(
     return out
 
 
-def expand_scenario(
-    spec: Scenario,
-    scale: str = "smoke",
-    seed: int = DEFAULT_SEED,
-    overrides: Optional[Mapping[str, Sequence[object]]] = None,
-    backend: str = "flit",
-    router: Optional["BackendRouter"] = None,
-) -> List[RunSpec]:
-    """Expand one scenario's grid (optionally overriding axis values).
-
-    The expansion order is deterministic: axes sorted by name, values in the
-    order the scenario (or the override) lists them.  Scenarios tagged
-    ``flow-only`` expand with ``backend="flow"`` no matter what was
-    requested (enforced in :meth:`RunSpec.make`).
-
-    With ``backend="auto"`` (or an explicit ``router``) every cell is
-    resolved to a concrete backend before it is returned; a default
-    :class:`~repro.campaign.router.BackendRouter` is used when none is
-    given.  Note the budget, if the router carries one, then applies to
-    this scenario alone — use :func:`plan_campaign` for a shared budget
-    across scenarios.
-    """
-    raw = _expand_raw(spec, scale, seed, overrides, backend)
-    if backend == AUTO_BACKEND or router is not None:
-        from repro.campaign.router import BackendRouter
-
-        cells = (router or BackendRouter()).route(raw)
-        return [cell.spec for cell in cells]
-    return raw
-
-
 def plan_campaign(
     scenario_names: Sequence[str],
     scale: str = "smoke",
@@ -398,9 +365,12 @@ def plan_campaign(
 ) -> CampaignPlan:
     """Expand several scenarios into one de-duplicated, ordered plan.
 
-    Scenario order follows the request; within a scenario, grid order.
-    Axis overrides are applied to every scenario that has the axis and
-    rejected only if *no* requested scenario has it.
+    Scenario order follows the request; within a scenario, grid order:
+    axes sorted by name, values in the order the scenario (or the
+    override) lists them.  Scenarios tagged ``flow-only`` expand with
+    ``backend="flow"`` no matter what was requested (enforced in
+    :meth:`RunSpec.make`).  Axis overrides are applied to every scenario
+    that has the axis and rejected only if *no* requested scenario has it.
 
     With ``backend="auto"`` (or an explicit ``router``) the whole plan is
     routed in one pass, so the router's budget constrains the campaign's

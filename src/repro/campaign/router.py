@@ -6,10 +6,11 @@ policy object :func:`~repro.campaign.plan.plan_campaign` consumes:
 
 1. every cell is profiled (:func:`profile_for` — machine size and traffic
    volume from the scale preset, refined by the scenario's ``cost_hints``)
-   and costed under each backend with a registered cost model
-   (:mod:`repro.model.cost`);
-2. ``auto`` cells default to the highest-fidelity backend (``flit``), and
-   are demoted to the cheapest backend — greedily, biggest savings first —
+   and costed from the :data:`~repro.model.cost.COST_MODELS` table: an
+   ``auto`` cell under both backends, a concrete one under its own; a
+   backend outside the table is rejected;
+2. ``auto`` cells default to the higher-fidelity backend (``flit``), and
+   are demoted to the cheaper one — greedily, biggest savings first —
    until the plan's total estimated work fits the router's budget;
 3. cells the router resolved carry ``routed_from="auto"``, which enters
    the spec hash (SPEC_FORMAT 3) so auto-routed results never alias
@@ -30,23 +31,18 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.campaign.plan import (
-    AUTO_BACKEND,
     FLOW_ONLY_TAG,
     CampaignPlan,
     RunSpec,
     scale_for,
 )
 from repro.campaign.registry import scenario_cost_hints, scenario_tags
-from repro.model.base import BackendError, available_cost_models, cost_model_for
-from repro.model.cost import CostEstimate, WorkloadProfile
+from repro.model.base import BackendError
+from repro.model.cost import COST_MODELS, CostEstimate, WorkloadProfile
 from repro.sim.rng import derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.campaign.store import ArtifactStore
-
-#: Backends ordered most-faithful first; ``auto`` resolution prefers the
-#: leftmost backend whose cost model is registered.
-FIDELITY_ORDER: Tuple[str, ...] = ("flit", "flow")
 
 #: Work units one second of recorded wall-clock converts to when a cell's
 #: cost is seeded from store history.  Chosen so one second is the same
@@ -54,6 +50,11 @@ FIDELITY_ORDER: Tuple[str, ...] = ("flit", "flow")
 #: (~1e4 units), which keeps ``--budget`` values meaningful whether a plan
 #: is costed from proxies, from history, or from a mix of both.
 HISTORY_UNITS_PER_SECOND = 10_000.0
+
+#: Recorded runs a (scenario, scale, backend) group needs before its
+#: history overrides the static proxy: below that, one unlucky cell (cold
+#: caches, a loaded machine) would swing the routing.
+HISTORY_MIN_RUNS = 3
 
 #: ``routed_from`` marker of flit audit twins.  An audit twin is *not* a
 #: plain flit run — it executes in the audited flow cell's RNG universe —
@@ -74,7 +75,7 @@ class CellCost:
     #: Backend the cell was routed to (== ``spec.backend``).
     chosen: str
     #: Why: ``explicit`` (caller pinned it), ``pinned`` (flow-only tag),
-    #: ``fidelity`` (auto default), ``cell-cap`` or ``budget`` (demoted).
+    #: ``fidelity`` (auto default) or ``budget`` (demoted).
     reason: str
     #: Per-backend estimates the decision was made over.
     estimates: Mapping[str, CostEstimate]
@@ -159,22 +160,17 @@ class CostHistory:
     ``elapsed_s`` measurements for a scenario on a backend at a scale, those
     measurements *are* the cost — wall-clock seconds are directly comparable
     across backends, which is exactly the property the proxies approximate.
-    A (scenario, scale, backend) group needs at least ``min_runs`` recorded
-    runs before it overrides the proxy: below that, one unlucky cell (cold
-    caches, a loaded machine) would swing the routing.
+    A (scenario, scale, backend) group needs :data:`HISTORY_MIN_RUNS`
+    recorded runs before it overrides the proxy.
     """
 
     #: (scenario, scale, backend) -> recorded elapsed_s samples.
     samples: Mapping[Tuple[str, str, str], Tuple[float, ...]] = field(
         default_factory=dict
     )
-    #: Minimum recorded runs before history overrides the static proxy.
-    min_runs: int = 3
 
     @staticmethod
-    def from_store(
-        store: Optional["ArtifactStore"], min_runs: int = 3
-    ) -> "CostHistory":
+    def from_store(store: Optional["ArtifactStore"]) -> "CostHistory":
         """Collect timing samples from a store's index (``None``-safe).
 
         Telemetry-derived ``sim_s`` (simulate phase only) is preferred over
@@ -196,14 +192,13 @@ class CostHistory:
                 )
                 grouped.setdefault(key, []).append(float(elapsed))
         return CostHistory(
-            samples={key: tuple(values) for key, values in grouped.items()},
-            min_runs=min_runs,
+            samples={key: tuple(values) for key, values in grouped.items()}
         )
 
     def work_for(self, scenario: str, scale: str, backend: str) -> Optional[float]:
         """Empirical work estimate, or ``None`` below the evidence bar."""
         values = self.samples.get((scenario, scale, backend), ())
-        if len(values) < self.min_runs:
+        if len(values) < HISTORY_MIN_RUNS:
             return None
         return statistics.median(values) * HISTORY_UNITS_PER_SECOND
 
@@ -212,29 +207,15 @@ class CostHistory:
         return len(self.samples.get((scenario, scale, backend), ()))
 
 
-def _auto_candidates() -> Tuple[str, ...]:
-    """Backends an ``auto`` cell may resolve to, most-faithful first."""
-    modelled = set(available_cost_models())
-    ordered = tuple(name for name in FIDELITY_ORDER if name in modelled)
-    if not ordered:
-        raise BackendError(
-            "backend='auto' needs at least one backend with a registered "
-            f"cost model (have: {', '.join(sorted(modelled)) or '<none>'})"
-        )
-    return ordered
-
-
 def estimate_cell(
-    spec: RunSpec,
-    backends: Optional[Sequence[str]] = None,
-    history: Optional[CostHistory] = None,
+    spec: RunSpec, history: Optional[CostHistory] = None
 ) -> Dict[str, CostEstimate]:
-    """Cost one cell under the given (or its applicable) backends.
+    """Cost one cell from the :data:`~repro.model.cost.COST_MODELS` table.
 
     A concrete spec is estimated on its own backend; an ``auto`` spec on
-    every auto candidate.  Backends without a cost model are annotated
-    with zero work (they cannot be auto-routed to, but an explicitly
-    pinned cell on such a backend must still plan).
+    both, flit first.  A backend outside the table raises
+    :class:`~repro.model.base.BackendError`: a cell the router cannot cost
+    would plan as free work.
 
     With a :class:`CostHistory`, a backend whose (scenario, scale) group
     has enough recorded runs gets its estimate seeded from the measured
@@ -242,29 +223,25 @@ def estimate_cell(
     then carries ``history_runs`` and ``history_median_s``.
     """
     profile = profile_for(spec)
-    if backends is None:
-        backends = _auto_candidates() if spec.is_auto else (spec.backend,)
+    backends = tuple(COST_MODELS) if spec.is_auto else (spec.backend,)
     estimates: Dict[str, CostEstimate] = {}
     for name in backends:
-        try:
-            model = cost_model_for(name)
-        except BackendError:
-            estimates[name] = CostEstimate(
-                backend=name, work=0.0, detail={"unmodelled": 1.0}
+        if name not in COST_MODELS:
+            raise BackendError(
+                f"cell {spec.label()} runs on backend {name!r}, which has no "
+                f"cost model (known: {', '.join(COST_MODELS)})"
             )
-        else:
-            estimates[name] = model.estimate_cost(profile)
-        if history is None:
-            continue
-        empirical = history.work_for(spec.scenario, spec.scale, name)
-        if empirical is None:
-            continue
-        detail = dict(estimates[name].detail)
-        # Measured runs make the backend "modelled" even without a proxy.
-        detail.pop("unmodelled", None)
-        detail["history_runs"] = float(history.runs_for(spec.scenario, spec.scale, name))
-        detail["history_median_s"] = empirical / HISTORY_UNITS_PER_SECOND
-        estimates[name] = CostEstimate(backend=name, work=empirical, detail=detail)
+        estimate = COST_MODELS[name].estimate_cost(profile)
+        empirical = (
+            None if history is None
+            else history.work_for(spec.scenario, spec.scale, name)
+        )
+        if empirical is not None:
+            detail = dict(estimate.detail)
+            detail["history_runs"] = float(history.runs_for(spec.scenario, spec.scale, name))
+            detail["history_median_s"] = empirical / HISTORY_UNITS_PER_SECOND
+            estimate = CostEstimate(backend=name, work=empirical, detail=detail)
+        estimates[name] = estimate
     return estimates
 
 
@@ -272,32 +249,26 @@ def estimate_cell(
 class BackendRouter:
     """Plan-time policy resolving ``auto`` cells to concrete backends.
 
-    ``prefer`` is the fidelity default (an auto cell runs there unless a
-    cap forces it elsewhere); ``cell_cap`` caps any single cell's work;
-    ``budget`` caps the plan's total work.  Audit re-runs are *not* a
-    routing concern: pass ``audit_fraction`` to
-    :func:`~repro.campaign.executor.execute_plan` (or ``--audit-fraction``
-    on the CLI), which samples the routed plan via
+    An auto cell runs on flit unless ``budget``, a cap on the plan's total
+    work, demotes it to flow.  Audit re-runs are *not* a routing concern:
+    pass ``audit_fraction`` to :func:`~repro.campaign.executor.execute_plan`
+    (or ``--audit-fraction`` on the CLI), which samples the routed plan via
     :func:`select_audit_pairs`.
     """
 
-    prefer: str = "flit"
     budget: Optional[float] = None
-    cell_cap: Optional[float] = None
-    #: Recorded-run history seeding the estimates (PR-4 follow-on): cells
-    #: whose (scenario, scale, backend) group has ``history.min_runs``
-    #: prior runs in the store are costed from measured wall-clock medians
-    #: instead of the static proxies.
+    #: Recorded-run history seeding the estimates: cells whose (scenario,
+    #: scale, backend) group has :data:`HISTORY_MIN_RUNS` prior runs in the
+    #: store are costed from measured wall-clock medians instead of the
+    #: static proxies.
     history: Optional[CostHistory] = None
 
     def __post_init__(self) -> None:
         if self.budget is not None and self.budget <= 0:
             raise ValueError("budget must be positive")
-        if self.cell_cap is not None and self.cell_cap <= 0:
-            raise ValueError("cell_cap must be positive")
 
     def route(self, specs: Sequence[RunSpec]) -> List[CellCost]:
-        """Resolve every spec to a concrete backend, honouring the caps.
+        """Resolve every spec to a concrete backend, honouring the budget.
 
         Explicitly pinned cells are cost-annotated but never moved; their
         estimated work still counts against the budget.  Raises
@@ -310,32 +281,17 @@ class BackendRouter:
         for spec in specs:
             cell_estimates = estimate_cell(spec, history=self.history)
             estimates.append(cell_estimates)
-            if not spec.is_auto:
-                # A budget over a cell we cannot cost would be a silent lie:
-                # the cell counts as free and "within budget" means nothing.
-                if self.budget is not None and cell_estimates[spec.backend].detail.get(
-                    "unmodelled"
-                ):
-                    raise BackendError(
-                        f"cell {spec.label()} is pinned to backend "
-                        f"{spec.backend!r}, which has no registered cost model "
-                        "— a --budget cannot be enforced over it"
-                    )
+            if spec.is_auto:
+                # The table lists flit first: the fidelity default.
+                chosen.append(next(iter(cell_estimates)))
+                reasons.append("fidelity")
+            else:
                 chosen.append(spec.backend)
                 reasons.append(
                     "pinned"
                     if FLOW_ONLY_TAG in scenario_tags(spec.scenario)
                     else "explicit"
                 )
-                continue
-            candidates = list(cell_estimates)
-            pick = self.prefer if self.prefer in candidates else candidates[0]
-            reason = "fidelity"
-            if self.cell_cap is not None and cell_estimates[pick].work > self.cell_cap:
-                pick = min(candidates, key=lambda name: cell_estimates[name].work)
-                reason = "cell-cap"
-            chosen.append(pick)
-            reasons.append(reason)
 
         if self.budget is not None:
             total = sum(estimates[i][chosen[i]].work for i in range(len(specs)))

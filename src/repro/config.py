@@ -291,8 +291,8 @@ class SimulationConfig:
     seed: int = 12345
     #: Network-model backend resolving the traffic: ``"flit"`` is the
     #: cycle-accurate flit-level simulator, ``"flow"`` the fast flow-level
-    #: engine.  Validated against the registry by
-    #: :func:`repro.model.build_network_model` (config stays import-light).
+    #: engine.  Validated by :func:`repro.model.build_network_model`
+    #: (config stays import-light).
     backend: str = "flit"
 
     def with_topology(self, **overrides) -> "SimulationConfig":

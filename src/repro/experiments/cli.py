@@ -191,15 +191,6 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         help="liveness ping interval while executing (default: 2)",
     )
     worker.add_argument(
-        "--batch-results",
-        type=int,
-        default=1,
-        metavar="N",
-        help="buffer up to N finished cells into one result_batch frame "
-        "before sending (amortizes wire framing for sub-millisecond cells; "
-        "default: 1, stream every result immediately)",
-    )
-    worker.add_argument(
         "--preload",
         default=None,
         metavar="MODULE",
@@ -359,8 +350,6 @@ def _worker_main(args, parser) -> int:
 
     if args.heartbeat <= 0:
         parser.error("--heartbeat must be positive")
-    if args.batch_results < 1:
-        parser.error("--batch-results must be >= 1")
     if args.preload:
         import importlib
 
@@ -379,12 +368,7 @@ def _worker_main(args, parser) -> int:
         parser.error("--connect needs the coordinator's concrete port")
     try:
         executed = serve_socket(
-            host,
-            port,
-            name=args.name,
-            heartbeat_s=args.heartbeat,
-            log=log,
-            batch_results=args.batch_results,
+            host, port, name=args.name, heartbeat_s=args.heartbeat, log=log
         )
     except (ProtocolError, ConnectionError, OSError, ValueError) as exc:
         # A coordinator killed mid-frame (ProtocolError) or a dead peer on

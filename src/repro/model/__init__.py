@@ -1,47 +1,36 @@
-"""Pluggable network-model backends behind the :class:`NetworkModel` protocol.
-
-The built-in backends are
+"""The two network-model backends behind the :class:`NetworkModel` protocol.
 
 * ``flit`` — cycle-accurate flit-level simulation
-  (:class:`repro.network.network.Network`, bound in :mod:`repro.model.flit`);
+  (:class:`repro.network.network.Network`);
 * ``flow`` — fast flow-level engine with max-min fair-share bandwidth
   allocation (:class:`repro.model.flow.network.FlowNetwork`).
 
 Use :func:`build_network_model` to construct the substrate selected by a
 :class:`~repro.config.SimulationConfig` (or an explicit backend override).
-Registration is lazy — the factory imports the backend modules on first
-use — because :mod:`repro.network.network` itself imports
-:mod:`repro.model.base` to subclass the protocol; importing the concrete
-backends at package-import time would be circular.
+It imports the backend modules on first use, because both import
+:mod:`repro.model.base` to subclass the protocol; importing them at
+package-import time would be circular.
 
-Every backend also registers a :class:`~repro.model.cost.CostModel` — an
-estimator mapping a :class:`~repro.model.cost.WorkloadProfile` to abstract
-work units — which the campaign planner uses to route grid cells to the
-cheapest adequate backend (``backend="auto"``).
+:data:`~repro.model.cost.COST_MODELS` holds each backend's estimator,
+mapping a :class:`~repro.model.cost.WorkloadProfile` to abstract work
+units, which the campaign planner uses to route grid cells to the cheapest
+adequate backend (``backend="auto"``).
 """
 
 from repro.model.base import (
     BackendError,
     NetworkModel,
     available_backends,
-    available_cost_models,
     build_network_model,
-    cost_model_for,
-    register_backend,
-    register_cost_model,
 )
-from repro.model.cost import CostEstimate, CostModel, WorkloadProfile
+from repro.model.cost import COST_MODELS, CostEstimate, WorkloadProfile
 
 __all__ = [
     "BackendError",
+    "COST_MODELS",
     "CostEstimate",
-    "CostModel",
     "NetworkModel",
     "WorkloadProfile",
     "available_backends",
-    "available_cost_models",
     "build_network_model",
-    "cost_model_for",
-    "register_backend",
-    "register_cost_model",
 ]

@@ -22,18 +22,16 @@ A backend must expose
   statistics (:meth:`router`, :meth:`total_flits_traversed`) — the simulated
   PAPI surface Algorithm 1 (:mod:`repro.core.selector`) is driven by.
 
-Backends register themselves in a module-level registry keyed by their
-``backend_name``; :func:`build_network_model` resolves
-``SimulationConfig.backend`` (or an explicit override) against it.
+The two backends form a closed pair: :func:`build_network_model` picks
+one by name from ``SimulationConfig.backend`` (or an explicit override).
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, ClassVar, Dict, Iterable, Optional, TYPE_CHECKING
+from typing import Callable, ClassVar, Iterable, Optional, TYPE_CHECKING
 
 from repro.config import SimulationConfig
-from repro.model.cost import CostModel
 from repro.routing.modes import RoutingMode
 from repro.network.packet import Message, RdmaOp
 
@@ -54,7 +52,7 @@ class NetworkModel(abc.ABC):
     ``delivered_messages`` in addition to the methods below.
     """
 
-    #: Registry key of the backend (``"flit"``, ``"flow"``, ...).
+    #: Name of the backend (``"flit"`` or ``"flow"``).
     backend_name: ClassVar[str] = "abstract"
 
     config: SimulationConfig
@@ -120,38 +118,13 @@ class NetworkModel(abc.ABC):
         """Zero every NIC and router counter (a fresh measurement interval)."""
 
 
-#: backend name -> constructor ``(config, sim, streams) -> NetworkModel``.
-_BACKENDS: Dict[str, Callable[..., NetworkModel]] = {}
-
-
 class BackendError(LookupError):
     """Unknown backend name (subclasses LookupError for clean CLI messages)."""
 
 
-def register_backend(name: str, factory: Callable[..., NetworkModel]) -> None:
-    """Register a network-model backend constructor under ``name``."""
-    if name in _BACKENDS:
-        raise BackendError(f"backend {name!r} is already registered")
-    _BACKENDS[name] = factory
-
-
-def _ensure_builtins() -> None:
-    """Import the built-in backend modules (idempotent, lazy).
-
-    Lazy because :mod:`repro.network.network` imports this module to
-    subclass :class:`NetworkModel`; importing it back at package-import
-    time would be circular.  Each backend module also registers its cost
-    model, so the cost registry is populated by the same imports.
-    """
-    from repro.model import flit as _flit  # noqa: F401 - registration side effect
-    from repro.model.flow import network as _flow  # noqa: F401 - registration side effect
-    from repro.model.flow import cost as _flow_cost  # noqa: F401 - registration side effect
-
-
 def available_backends() -> tuple:
-    """Registered backend names, sorted."""
-    _ensure_builtins()
-    return tuple(sorted(_BACKENDS))
+    """The backend names, sorted."""
+    return ("flit", "flow")
 
 
 def build_network_model(
@@ -164,51 +137,17 @@ def build_network_model(
 
     The explicit ``backend`` argument wins over the config field, so callers
     can reuse one :class:`SimulationConfig` across backends (the parity tests
-    do exactly that).
+    do exactly that).  The backends are imported here, not at module level:
+    both import this module to subclass :class:`NetworkModel`.
     """
-    _ensure_builtins()
     config = config or SimulationConfig()
     name = backend if backend is not None else config.backend
-    try:
-        factory = _BACKENDS[name]
-    except KeyError:
-        known = ", ".join(sorted(_BACKENDS)) or "<none>"
+    if name == "flit":
+        from repro.network.network import Network as model
+    elif name == "flow":
+        from repro.model.flow.network import FlowNetwork as model
+    else:
         raise BackendError(
-            f"unknown network-model backend {name!r} (known: {known})"
-        ) from None
-    return factory(config=config, sim=sim, streams=streams)
-
-
-#: backend name -> :class:`~repro.model.cost.CostModel` estimating its runs.
-_COST_MODELS: Dict[str, CostModel] = {}
-
-
-def register_cost_model(model: CostModel) -> None:
-    """Register a backend's cost estimator under its ``backend_name``.
-
-    The cost registry parallels the backend registry: a backend without a
-    cost model still runs, it just cannot be auto-routed to by the campaign
-    planner (:mod:`repro.campaign.router`).
-    """
-    name = model.backend_name
-    if name in _COST_MODELS:
-        raise BackendError(f"cost model for backend {name!r} is already registered")
-    _COST_MODELS[name] = model
-
-
-def cost_model_for(name: str) -> CostModel:
-    """The cost estimator registered for a backend name."""
-    _ensure_builtins()
-    try:
-        return _COST_MODELS[name]
-    except KeyError:
-        known = ", ".join(sorted(_COST_MODELS)) or "<none>"
-        raise BackendError(
-            f"no cost model registered for backend {name!r} (known: {known})"
-        ) from None
-
-
-def available_cost_models() -> tuple:
-    """Backend names that have a registered cost model, sorted."""
-    _ensure_builtins()
-    return tuple(sorted(_COST_MODELS))
+            f"unknown network-model backend {name!r} (known: flit, flow)"
+        )
+    return model(config=config, sim=sim, streams=streams)

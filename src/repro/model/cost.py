@@ -1,7 +1,6 @@
-"""Cost/fidelity layer of the backend registry: what would this run cost?
+"""Cost layer of the two backends: what would this run cost?
 
-Every network-model backend can register a :class:`CostModel` next to its
-constructor (see :func:`repro.model.base.register_cost_model`).  A cost
+Each backend has a cost model, and :data:`COST_MODELS` holds both.  A cost
 model turns a substrate-independent :class:`WorkloadProfile` — how big the
 machine is and how much traffic the run will push — into a
 :class:`CostEstimate` in *work units*, an abstract inner-loop-operation
@@ -24,7 +23,6 @@ calibration knobs if the ordering ever drifts.
 
 from __future__ import annotations
 
-import abc
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Mapping
@@ -79,26 +77,13 @@ class CostEstimate:
             raise ValueError("estimated work must be non-negative")
 
 
-class CostModel(abc.ABC):
-    """Per-backend cost estimator: profile in, work units out."""
-
-    #: Registry key of the backend this model estimates for.
-    backend_name: ClassVar[str] = "abstract"
-
-    @abc.abstractmethod
-    def estimate_cost(self, profile: WorkloadProfile) -> CostEstimate:
-        """Estimate the work of running ``profile`` on this backend."""
-
-
-class FlitCostModel(CostModel):
+class FlitCostModel:
     """Event-count proxy for the cycle-accurate flit simulator.
 
     Every request flit is forwarded at every fabric hop plus the two NIC
     links, and every packet triggers a single-flit response along the way
     back — each forwarding is at least one simulator event.
     """
-
-    backend_name = "flit"
 
     #: Work units charged per *predicted* event.  The prediction below
     #: (flits x hops) tracks the pre-coalescing link layer; since the
@@ -117,7 +102,7 @@ class FlitCostModel(CostModel):
         request_events = profile.messages * profile.flits_per_message * hops
         events = request_events * (1.0 + self.response_factor)
         return CostEstimate(
-            backend=self.backend_name,
+            backend="flit",
             work=events * self.unit_cost,
             detail={
                 "events": events,
@@ -129,7 +114,7 @@ class FlitCostModel(CostModel):
         )
 
 
-class FlowCostModel(CostModel):
+class FlowCostModel:
     """Solver-work proxy for the flow-level engine.
 
     Each membership change (one submission and one completion per message)
@@ -141,8 +126,6 @@ class FlowCostModel(CostModel):
     whole incidence rows per NumPy operation.
     """
 
-    backend_name = "flow"
-
     #: Work units charged per solver inner-loop operation (vectorized).
     unit_cost: ClassVar[float] = 0.05
 
@@ -153,7 +136,7 @@ class FlowCostModel(CostModel):
         solves = 2.0 * profile.messages  # one submission + one completion each
         ops = solves * flows * links_per_flow * fill_rounds
         return CostEstimate(
-            backend=self.backend_name,
+            backend="flow",
             work=ops * self.unit_cost,
             detail={
                 "solves": solves,
@@ -163,3 +146,8 @@ class FlowCostModel(CostModel):
                 "ops": ops,
             },
         )
+
+
+#: The cost model of each backend, most faithful first: the router starts
+#: an ``auto`` cell on ``flit`` and demotes it to ``flow`` under a budget.
+COST_MODELS = {"flit": FlitCostModel(), "flow": FlowCostModel()}

@@ -46,7 +46,7 @@ import math
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.config import NicConfig, SimulationConfig, TopologyConfig
-from repro.model.base import NetworkModel, register_backend
+from repro.model.base import NetworkModel
 from repro.model.flow.engine import default_engine_kind, make_engine
 from repro.model.flow.solver import FairShareSolver, FlowState
 from repro.network.counters import CounterSnapshot, NicCounters
@@ -979,9 +979,3 @@ class FlowNetwork(NetworkModel):
         if message.on_acked is not None:
             message.on_acked(message)
 
-
-def _build_flow(config=None, sim=None, streams=None) -> FlowNetwork:
-    return FlowNetwork(config=config, sim=sim, streams=streams)
-
-
-register_backend("flow", _build_flow)

@@ -434,20 +434,16 @@ class TestClusterScenario:
         assert scen.grid_size() == 12
 
     def test_flow_only_expands_pinned_to_flow(self):
-        from repro.campaign import (
-            ensure_builtin_scenarios,
-            expand_scenario,
-            get_scenario,
-        )
+        from repro.campaign import ensure_builtin_scenarios, plan_campaign
 
         ensure_builtin_scenarios()
-        specs = expand_scenario(get_scenario("cluster-trace"))
+        specs = plan_campaign(["cluster-trace"]).specs
         assert len(specs) == 12
         assert all(spec.backend == "flow" for spec in specs)
         # Distinct cells hash apart; identical expansion hashes stably.
         hashes = [spec.spec_hash() for spec in specs]
         assert len(set(hashes)) == len(hashes)
-        again = expand_scenario(get_scenario("cluster-trace"))
+        again = plan_campaign(["cluster-trace"]).specs
         assert hashes == [spec.spec_hash() for spec in again]
 
     def test_cost_hints_scale_with_load(self):

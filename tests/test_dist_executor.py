@@ -293,26 +293,24 @@ class TestProtocol:
             )
 
 
-# -- result batching ----------------------------------------------------------------
+# -- result streaming ---------------------------------------------------------------
 
-class TestResultBatching:
-    """--batch-results N buffers worker results into result_batch frames."""
-
-    def _serve(self, channel, batch):
+class TestResultStreaming:
+    def test_each_cell_streams_as_one_result_frame(self):
+        """5 cells come back as 5 result frames in lease order, then shard_done."""
         from repro.campaign.dist.worker import serve_channel
 
-        # A 30 s heartbeat keeps liveness pings out of the frame sequence
-        # the test asserts on.
-        serve_channel(channel, name="batcher", heartbeat_s=30.0, batch_results=batch)
-
-    def test_batch_frame_wire_roundtrip(self):
-        """5 cells at N=2 travel as 2+2 batches plus one classic result."""
         loop = _Loopback()
         specs = [
             RunSpec.make("_dist-sleepy", {"i": i, "sleep_s": 0.0}) for i in range(5)
         ]
+        # A 30 s heartbeat keeps liveness pings out of the frame sequence
+        # the test asserts on.
         server = threading.Thread(
-            target=self._serve, args=(loop.right, 2), daemon=True
+            target=serve_channel,
+            args=(loop.right,),
+            kwargs={"name": "streamer", "heartbeat_s": 30.0},
+            daemon=True,
         )
         server.start()
         frames = []
@@ -334,88 +332,11 @@ class TestResultBatching:
         finally:
             server.join(timeout=10)
             loop.close()
-        assert [f["type"] for f in frames] == [
-            "result_batch", "result_batch", "result", "shard_done"
-        ]
-        bodies = [
-            entry
-            for frame in frames[:2]
-            for entry in frame["results"]
-        ] + [frames[2]]
-        assert all(frame["shard"] == 7 for frame in frames[:3])
+        assert [f["type"] for f in frames] == ["result"] * 5 + ["shard_done"]
+        assert all(frame["shard"] == 7 for frame in frames)
         # Every cell came back exactly once, intact and in lease order.
-        rebuilt = [RunSpec.from_wire(body["spec"]) for body in bodies]
-        assert rebuilt == specs
-        assert all(body["error"] == "" and "payload" in body for body in bodies)
-
-    def test_single_cell_shard_uses_classic_frame(self):
-        """A flush of one result degrades to the pre-batching frame type."""
-        loop = _Loopback()
-        spec = RunSpec.make("_dist-sleepy", {"i": 0, "sleep_s": 0.0})
-        server = threading.Thread(
-            target=self._serve, args=(loop.right, 8), daemon=True
-        )
-        server.start()
-        try:
-            assert loop.left.recv()["type"] == "hello"
-            loop.left.send(
-                {"type": "lease", "shard": 1, "specs": [spec.to_wire()]}
-            )
-            result = loop.left.recv()
-            assert result["type"] == "result"
-            assert RunSpec.from_wire(result["spec"]) == spec
-            assert loop.left.recv()["type"] == "shard_done"
-            loop.left.send({"type": "shutdown"})
-        finally:
-            server.join(timeout=10)
-            loop.close()
-
-    def test_batched_store_matches_streaming(self, tmp_path, sleepy_env):
-        plan = _sleepy_plan(cells=6)
-        batched_store = ArtifactStore(tmp_path / "batched")
-        result = run_distributed(
-            plan,
-            store=batched_store,
-            options=_options(workers=2, extra_env=sleepy_env, batch_results=3),
-        )
-        assert result.failed == 0 and result.executed == 6
-        streamed_store = ArtifactStore(tmp_path / "streamed")
-        run_distributed(
-            plan, store=streamed_store, options=_options(workers=2, extra_env=sleepy_env)
-        )
-        for spec in plan:
-            assert (
-                batched_store.result_path(spec).read_bytes()
-                == streamed_store.result_path(spec).read_bytes()
-            ), f"artifact for {spec.label()} differs batched vs streamed"
-
-    def test_coordinator_passes_flag_to_spawned_workers(self):
-        coordinator = Coordinator(
-            _sleepy_plan(1),
-            options=_options(workers=1, transport="socket", batch_results=4),
-        )
-        plain = Coordinator(
-            _sleepy_plan(1), options=_options(workers=1, transport="socket")
-        )
-        try:
-            command = coordinator._worker_command()
-            assert command[command.index("--batch-results") + 1] == "4"
-            assert "--batch-results" not in plain._worker_command()
-        finally:
-            coordinator._shutdown()
-            plain._shutdown()
-
-    def test_invalid_batch_size_rejected(self):
-        with pytest.raises(ValueError, match="batch_results"):
-            DistOptions(batch_results=0)
-        from repro.campaign.dist.worker import serve_channel
-
-        loop = _Loopback()
-        try:
-            with pytest.raises(ValueError, match="batch_results"):
-                serve_channel(loop.right, batch_results=0)
-        finally:
-            loop.close()
+        assert [RunSpec.from_wire(f["spec"]) for f in frames[:5]] == specs
+        assert all(f["error"] == "" and "payload" in f for f in frames[:5])
 
 
 # -- instrumentation switches on leases ---------------------------------------------
@@ -877,6 +798,82 @@ class TestSocketTransport:
         result = outcome["result"]
         assert result.failed == 0 and result.executed == 4
         assert coordinator._revocations == 1
+
+    @pytest.mark.parametrize(
+        "bad_frame",
+        [
+            # No spec: merged, it would raise KeyError('spec') in run().
+            lambda lease: {"type": "result", "shard": lease["shard"],
+                           "elapsed_s": 0.1, "error": ""},
+            # Neither payload nor error: merged, it would store a cell that
+            # is neither executed, cached nor failed.
+            lambda lease: {"type": "result", "shard": lease["shard"],
+                           "spec": lease["specs"][0], "elapsed_s": 0.1,
+                           "error": ""},
+            # A frame type the coordinator does not accept.
+            lambda lease: {"type": "result_batch", "shard": lease["shard"],
+                           "results": []},
+        ],
+        ids=["result-without-spec", "result-without-outcome", "unknown-type"],
+    )
+    def test_bad_frame_drops_the_worker_and_re_leases_its_shard(
+        self, tmp_path, monkeypatch, bad_frame
+    ):
+        """A worker that breaks the protocol is dropped at once, its shard
+        goes to a live worker, and the store matches a serial run."""
+        from repro.campaign.dist.worker import serve_socket
+
+        monkeypatch.setenv("REPRO_TELEMETRY", "0")
+        monkeypatch.setenv("REPRO_PROBES", "0")
+        plan = _sleepy_plan(cells=4)
+        store = ArtifactStore(tmp_path / "dropped")
+        # Far above the join timeout: only the drop can free the shard.
+        coordinator = Coordinator(
+            plan,
+            store=store,
+            options=_options(workers=0, transport="socket", lease_timeout_s=120.0),
+        )
+        outcome = {}
+        runner = threading.Thread(
+            target=lambda: outcome.update(result=coordinator.run()), daemon=True
+        )
+        runner.start()
+        rogue = Channel.over_socket(
+            socket.create_connection(coordinator.address, timeout=10), name="rogue"
+        )
+        live = None
+        try:
+            rogue.send({"type": "hello", "worker": "rogue", "pid": 0, "host": "x"})
+            lease = rogue.recv()
+            assert lease["type"] == "lease"
+            rogue.send(bad_frame(lease))
+            assert rogue.recv() is None, "the rogue worker was not dropped"
+            host, port = coordinator.address
+            live = threading.Thread(
+                target=serve_socket,
+                args=(host, port),
+                kwargs={"name": "live", "heartbeat_s": 0.2, "log": lambda text: None},
+                daemon=True,
+            )
+            live.start()
+            runner.join(timeout=30)
+            assert not runner.is_alive(), "coordinator never re-leased the shard"
+        finally:
+            rogue.close()
+            if live is not None:
+                live.join(timeout=10)
+            disable()
+            disable_probes()
+        result = outcome["result"]
+        assert result.failed == 0 and result.executed == 4
+        assert coordinator._revocations == 1
+        serial_store = _plain_store(plan, tmp_path / "serial")
+        for spec in plan:
+            assert (
+                store.result_path(spec).read_bytes()
+                == serial_store.result_path(spec).read_bytes()
+            ), f"artifact for {spec.label()} differs after the drop"
+        assert set(store.index()) == set(serial_store.index())
 
 
 # -- coordinator unit behaviour -----------------------------------------------------

@@ -1,7 +1,7 @@
 """Backend-aware campaign planning: cost models, router, SPEC_FORMAT 3, audits.
 
-Covers the cost/fidelity layer (:mod:`repro.model.cost` + the registry
-hooks in :mod:`repro.model.base`), the plan-time backend router
+Covers the cost/fidelity layer (:mod:`repro.model.cost` and its
+``COST_MODELS`` table), the plan-time backend router
 (:mod:`repro.campaign.router`), the SPEC_FORMAT 3 migration rules, the
 executor's flit-audit post-pass and the CLI surface (``--backend auto``,
 ``--budget``, ``--audit-fraction``).
@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -19,9 +20,11 @@ from repro.campaign import (
     ArtifactStore,
     BackendRouter,
     BudgetError,
+    CostHistory,
     ensure_builtin_scenarios,
     execute_plan,
     plan_campaign,
+    scenario_names,
     select_audit_pairs,
 )
 from repro.campaign.executor import metric_deltas
@@ -36,13 +39,9 @@ from repro.campaign.plan import (
 from repro.campaign.registry import Scenario, ScenarioError, register
 from repro.campaign.router import estimate_cell, profile_for
 from repro.experiments.cli import campaign_main, parse_override
-from repro.model.base import (
-    BackendError,
-    available_cost_models,
-    cost_model_for,
-    register_cost_model,
-)
+from repro.model.base import BackendError
 from repro.model.cost import (
+    COST_MODELS,
     CostEstimate,
     FlitCostModel,
     FlowCostModel,
@@ -107,23 +106,23 @@ def _auto_specs():
 
 class TestCostModels:
     def test_builtin_backends_have_cost_models(self):
-        assert {"flit", "flow"} <= set(available_cost_models())
+        """One closed table, most faithful backend first."""
+        assert list(COST_MODELS) == ["flit", "flow"]
+        assert isinstance(COST_MODELS["flit"], FlitCostModel)
+        assert isinstance(COST_MODELS["flow"], FlowCostModel)
 
     def test_unknown_cost_model_raises_backend_error(self):
+        spec = RunSpec.make("_router-toy", {"load": "tiny"}, backend="no-such-backend")
         with pytest.raises(BackendError, match="no cost model"):
-            cost_model_for("no-such-backend")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(BackendError, match="already registered"):
-            register_cost_model(FlitCostModel())
+            estimate_cell(spec)
 
     def test_estimates_are_positive_and_detailed(self):
         profile = WorkloadProfile(
             nodes=24, routers=12, links=120, messages=100.0,
             flits_per_message=80.0, avg_hops=5.0, concurrent_flows=8.0,
         )
-        flit = cost_model_for("flit").estimate_cost(profile)
-        flow = cost_model_for("flow").estimate_cost(profile)
+        flit = COST_MODELS["flit"].estimate_cost(profile)
+        flow = COST_MODELS["flow"].estimate_cost(profile)
         assert flit.backend == "flit" and flow.backend == "flow"
         assert flit.work > 0 and flow.work > 0
         assert flit.detail["events"] > 0
@@ -182,7 +181,7 @@ class TestProfiles:
 
     def test_estimate_cell_covers_auto_candidates(self):
         estimates = estimate_cell(_auto_specs()[0])
-        assert set(estimates) == {"flit", "flow"}
+        assert list(estimates) == ["flit", "flow"]
 
 
 # -- auto specs & SPEC_FORMAT 3 -----------------------------------------------------
@@ -271,13 +270,8 @@ class TestSpecFormatMigration:
         assert routed.spec_hash() != pinned.spec_hash()
         assert store.has(pinned) and not store.has(routed)
         # And the executor treats the routed spec as a cache miss.
-        plan = plan_campaign(
-            ["_router-toy"],
-            overrides={"load": ("tiny",)},
-            backend=AUTO_BACKEND,
-            router=BackendRouter(budget=None, cell_cap=1.0),  # cheapest => flow
-        )
-        assert plan.specs[0].backend == "flow"
+        plan = _flow_plan(loads=("tiny",))
+        assert plan.specs[0] == routed
         result = execute_plan(plan, store=store)
         assert result.executed == 1 and result.cached == 0
 
@@ -359,31 +353,22 @@ class TestBackendRouter:
         with pytest.raises(BudgetError, match="cheapest routing"):
             BackendRouter(budget=flow_total * 0.5).route(specs)
 
-    def test_cell_cap_routes_expensive_cells_to_cheapest(self):
-        specs = _auto_specs()
-        baseline = BackendRouter().route(specs)
-        works = {c.spec.params_dict["load"]: c.estimates["flit"].work for c in baseline}
-        cap = (works["big"] + works["huge"]) / 2  # only "huge" exceeds it
-        cells = BackendRouter(cell_cap=cap).route(specs)
-        by_load = {c.spec.params_dict["load"]: c for c in cells}
-        assert by_load["huge"].chosen == "flow" and by_load["huge"].reason == "cell-cap"
-        assert by_load["tiny"].chosen == "flit"
-
     def test_router_validation(self):
         with pytest.raises(ValueError):
             BackendRouter(budget=0.0)
         with pytest.raises(ValueError):
-            BackendRouter(cell_cap=-1.0)
+            BackendRouter(budget=-1.0)
 
     def test_budget_over_unmodelled_backend_is_an_error(self):
-        """A cell the router cannot cost must not count as free work."""
+        """A backend outside the table is rejected at plan time, with or
+        without a budget: a cell the router cannot cost must not plan as
+        free work."""
         spec = RunSpec.make("_router-toy", {"load": "tiny"}, backend="fancy")
-        with pytest.raises(BackendError, match="no registered cost model"):
-            BackendRouter(budget=100.0).route([spec])
-        # Without a budget the cell is annotated (work 0) but still plans.
-        cells = BackendRouter().route([spec])
-        assert cells[0].work == 0.0
-        assert cells[0].estimates["fancy"].detail == {"unmodelled": 1.0}
+        for router in (BackendRouter(budget=100.0), BackendRouter()):
+            with pytest.raises(BackendError, match="'fancy', which has no cost model"):
+                router.route([spec])
+        with pytest.raises(BackendError, match="no cost model"):
+            plan_campaign(["_router-toy"], backend="fancy", router=BackendRouter())
 
     def test_plan_campaign_annotates_costs_and_budget(self):
         plan = plan_campaign(
@@ -772,3 +757,72 @@ class TestCostHistory:
         assert campaign_main(argv + ["--dry-run"]) == 0
         out = capsys.readouterr().out
         assert "estimated work" in out
+
+
+# -- routing pin --------------------------------------------------------------------
+
+class TestRoutingPin:
+    """Every built-in scenario's auto plan, pinned bit for bit.
+
+    For each built-in scenario (test toys start with ``_`` and are left
+    out) at ``smoke`` and ``paper``, the whole auto plan is routed four
+    ways: by the default router, under a budget of 0.995 x the default
+    routing's total, with recorded history for one flit and one flow
+    group, and with both.  Every cell's hash, backend, reason and
+    per-backend estimate (work and detail as ``float.hex``) enters the
+    digest, as does each plan's 10% audit sample.  A moved spec hash,
+    routing decision, cost estimate or audit draw moves the digest.
+    """
+
+    DIGEST = "46a3a06e017ef503faccef06f0d3edc205b424d45397ee347942f5c74b474fff"
+
+    #: Decisions and history-seeded estimates the digest covers.
+    COUNTS = {"pinned": 320, "fidelity": 320, "budget": 24, "history": 68}
+
+    @staticmethod
+    def _routers(scale, fidelity_total):
+        budget = 0.995 * fidelity_total
+        history = CostHistory(
+            samples={
+                ("pingpong-placement", scale, "flit"): (0.01, 0.02, 0.03),
+                ("figure3", scale, "flow"): (0.01, 0.02, 0.03),
+            }
+        )
+        return (
+            None,
+            BackendRouter(budget=budget),
+            BackendRouter(history=history),
+            BackendRouter(budget=budget, history=history),
+        )
+
+    def _rows(self, counts):
+        names = [name for name in scenario_names() if not name.startswith("_")]
+        for scale in ("smoke", "paper"):
+            fidelity = plan_campaign(names, scale=scale, backend=AUTO_BACKEND)
+            for router in self._routers(scale, fidelity.total_work):
+                plan = plan_campaign(
+                    names, scale=scale, backend=AUTO_BACKEND, router=router
+                )
+                for cell in plan.costs:
+                    counts[cell.reason] += 1
+                    row = [cell.spec.spec_hash(), cell.chosen, cell.reason]
+                    for backend, estimate in cell.estimates.items():
+                        counts["history"] += "history_runs" in estimate.detail
+                        row.append(backend)
+                        row.append(float(estimate.work).hex())
+                        row.extend(
+                            f"{key}={float(value).hex()}"
+                            for key, value in sorted(estimate.detail.items())
+                        )
+                    yield row
+                for flow_spec, twin in select_audit_pairs(plan, 0.1):
+                    yield ["audit", flow_spec.spec_hash(), twin.spec_hash()]
+
+    def test_builtin_auto_plans_match_the_pin(self):
+        counts: Counter = Counter()
+        digest = hashlib.sha256()
+        for row in self._rows(counts):
+            digest.update(json.dumps(row).encode("utf-8"))
+            digest.update(b"\n")
+        assert dict(counts) == self.COUNTS
+        assert digest.hexdigest() == self.DIGEST
