@@ -50,7 +50,7 @@ from repro.core.policy import (
 )
 from repro.core.runtime import AppAwareRuntime
 from repro.core.selector import AppAwareSelector, SelectorParams
-from repro.model.base import NetworkModel, available_backends, build_network_model
+from repro.model.base import NetworkModel, build_network_model
 from repro.mpi.job import MpiJob, RankContext
 from repro.network.network import Network
 from repro.network.packet import Message, RdmaOp
@@ -76,7 +76,6 @@ __all__ = [
     "DragonflyTopology",
     "Network",
     "NetworkModel",
-    "available_backends",
     "build_network_model",
     "Message",
     "RdmaOp",

@@ -9,10 +9,10 @@ derived from :mod:`repro.sim.rng` (:mod:`repro.campaign.executor`); and a
 result cache + artifact store skips runs whose spec hash already has a
 stored result (:mod:`repro.campaign.store`).  Every parallel run, on one
 host or many, goes through the coordinator/worker layer
-(:mod:`repro.campaign.dist`): balanced shards leased to forked or
+(:mod:`repro.campaign.dist`): cells leased one at a time to forked or
 connected workers over a length-prefixed JSON socket transport, results
-merged into the store as they stream in, dead workers re-leased, killed
-campaigns resumable from the store.
+merged into the store as they arrive, a dead worker's cell re-leased,
+killed campaigns resumable from the store.
 """
 
 from repro.campaign.plan import (
@@ -53,8 +53,6 @@ from repro.campaign.store import ArtifactStore
 from repro.campaign.dist import (
     Coordinator,
     DistOptions,
-    Shard,
-    ShardPlanner,
     run_distributed,
 )
 
@@ -73,8 +71,6 @@ __all__ = [
     "RunRecord",
     "RunSpec",
     "Scenario",
-    "Shard",
-    "ShardPlanner",
     "ensure_builtin_scenarios",
     "estimate_cell",
     "execute_plan",

@@ -1,27 +1,27 @@
-"""The distributed coordinator: lease shards, merge streams, survive deaths.
+"""The distributed coordinator: lease cells, merge results, survive deaths.
 
 The coordinator owns the campaign: it resolves cache hits against the
 artifact store (so a killed campaign resumes from whatever the store
-already holds), cuts the misses into balanced shards
-(:class:`~repro.campaign.dist.shard.ShardPlanner`), leases shards to
-workers over the wire protocol and merges every streamed result into the
-store the moment it arrives — journaled, atomically indexed and deduped by
-spec hash, so two deliveries of the same cell (a re-leased shard whose
-original worker was merely slow, not dead) can never double-write.
+already holds), queues the misses heaviest estimated cell first
+(:func:`_dispatch_order`), leases them one cell at a time to workers over
+the wire protocol and merges every result into the store the moment it
+arrives — journaled, atomically indexed and deduped by spec hash, so two
+deliveries of the same cell can never double-write.  A worker's next
+lease goes out before its last result is saved, so no worker waits on a
+store write.
 
 Failure model
 -------------
 
-Workers prove liveness through traffic: results, shard-done frames and
-background heartbeats all refresh a lease.  A lease that goes silent for
-``lease_timeout_s`` — or whose connection drops, or whose worker sends a
-malformed ``result`` or a frame type the coordinator does not accept — is
-revoked: the shard's *unfinished* cells are re-queued as a new shard
-(finished cells were already merged) and handed to the next free worker.
-A shard abandoned ``max_leases`` times stops being retried and its
-remaining cells become failed records, so one poisonous cell cannot wedge
-the campaign.  Workers the coordinator started itself are replaced
-(within a budget) when they die with work still pending.
+Workers prove liveness through traffic: results and background heartbeats
+both refresh a lease.  A lease that goes silent for ``lease_timeout_s`` —
+or whose connection drops, or whose worker sends a malformed ``result`` or
+a frame type the coordinator does not accept — is revoked and its cell
+re-queued for the next free worker.  A cell whose ``max_leases`` leases
+were all revoked becomes a failed record, so a cell that kills its worker
+fails alone and cannot wedge the campaign.  Workers the coordinator
+started itself are replaced (within a budget) when they die with work
+still pending.
 
 ``local`` workers are children forked from the coordinator, one
 ``socketpair`` each (:func:`~repro.campaign.dist.worker.serve_forked`), so
@@ -43,11 +43,11 @@ import sys
 import threading
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
+from typing import Deque, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.campaign.dist.protocol import Channel, ProtocolError
-from repro.campaign.dist.shard import Shard, ShardPlanner
 from repro.campaign.dist.worker import DEFAULT_HEARTBEAT_S, serve_forked
 from repro.campaign.executor import CampaignResult, ProgressFn, RunRecord, run_audits
 from repro.campaign.plan import CampaignPlan, RunSpec
@@ -81,9 +81,7 @@ class DistOptions:
     #: Revoke a lease after this much silence (no result/heartbeat).
     lease_timeout_s: float = 30.0
     heartbeat_s: float = DEFAULT_HEARTBEAT_S
-    shards_per_worker: int = 4
-    max_shard_cells: int = 64
-    #: Give up on a shard's remaining cells after this many leases.
+    #: Fail a cell after this many of its leases were revoked.
     max_leases: int = 3
     #: Module spawned workers import before serving (extra scenarios).
     #: Forked ``local`` workers ignore it: they already hold every
@@ -111,11 +109,24 @@ class DistOptions:
             raise ValueError("max_leases must be >= 1")
 
 
+def _dispatch_order(plan: CampaignPlan, specs: Sequence[RunSpec]) -> List[RunSpec]:
+    """The order cells are leased in: heaviest estimated work first.
+
+    The sort is stable, so cells of equal work, and every cell of a plan
+    without cost annotations (``plan.costs``), keep their plan order.
+    """
+    work = {cell.spec: cell.work for cell in plan.costs}
+    return sorted(specs, key=lambda spec: -work.get(spec, 0.0))
+
+
 @dataclass
 class _Lease:
-    shard: Shard
-    remaining: Set[str]
-    attempts: int
+    """One cell leased to one worker."""
+
+    spec: RunSpec
+    spec_hash: str
+    #: Which of the cell's leases this is (1 = the first).
+    attempt: int
     last_seen: float
     #: Telemetry timeline of this lease (None when telemetry is disabled).
     timeline: Optional[Dict] = None
@@ -173,7 +184,7 @@ class _WorkerHandle:
 
 
 class Coordinator:
-    """Runs one campaign plan over a fleet of shard-leasing workers."""
+    """Runs one campaign plan over a fleet of cell-leasing workers."""
 
     def __init__(
         self,
@@ -196,9 +207,8 @@ class Coordinator:
         self.force = force
         self._events: "queue.Queue[Tuple[str, _WorkerHandle, Optional[Dict]]]" = queue.Queue()
         self._handles: Dict[int, _WorkerHandle] = {}
-        self._pending: List[Shard] = []
-        self._attempts: Dict[int, int] = {}  # shard_id -> leases so far
-        self._next_shard_id = 0
+        #: Cells waiting for a worker, each with its count of leases so far.
+        self._pending: Deque[Tuple[RunSpec, int]] = deque()
         self._records: List[Optional[RunRecord]] = [None] * len(plan)
         self._index_of = {spec.spec_hash(): i for i, spec in enumerate(plan)}
         self._outstanding: Set[str] = set()
@@ -213,8 +223,8 @@ class Coordinator:
         self._pair_ends: List[socket.socket] = []
         self._stopping = threading.Event()
         self._log = get_logger("campaign.dist.coordinator")
-        # Session telemetry: shard lease->first-result->done timelines,
-        # heartbeat-gap distribution, revocation count, journal flush cost.
+        # Session telemetry: per-cell lease->done timelines, heartbeat-gap
+        # distribution, revocation count, journal flush cost.
         self._telemetry_on = TELEMETRY.enabled
         # Every lease carries this process's switches, so each worker runs
         # its cells traced and probed exactly as the coordinator is.
@@ -222,7 +232,6 @@ class Coordinator:
         self._timelines: List[Dict] = []
         self._heartbeat_gaps: List[float] = []
         self._revocations = 0
-        self._worker_frames: List[Dict] = []
         if options.transport == "socket" or not _can_fork():
             self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -252,21 +261,11 @@ class Coordinator:
         misses = self._resolve_cached()
         try:
             if misses:
-                planner = ShardPlanner(
-                    shards_per_worker=self.options.shards_per_worker,
-                    max_shard_cells=self.options.max_shard_cells,
+                self._pending.extend(
+                    (spec, 0) for spec in _dispatch_order(self.plan, misses)
                 )
-                shards = planner.partition(
-                    self.plan, max(1, self.options.workers), specs=misses
-                )
-                self._pending = list(shards)
-                self._next_shard_id = max(s.shard_id for s in shards) + 1
-                for shard in shards:
-                    self._attempts[shard.shard_id] = 0
-                self._outstanding = {
-                    spec.spec_hash() for shard in shards for spec in shard.specs
-                }
-                self._start_workers(min(self.options.workers, len(shards)))
+                self._outstanding = {spec.spec_hash() for spec in misses}
+                self._start_workers(min(self.options.workers, len(misses)))
                 self._event_loop()
         finally:
             self._shutdown()
@@ -446,18 +445,6 @@ class Coordinator:
             pass  # the timestamp refresh above is the whole point
         elif kind == "result":
             self._merge_result(handle, message)
-        elif kind == "shard_done":
-            lease, handle.lease = handle.lease, None
-            if lease is not None and lease.timeline is not None:
-                lease.timeline["done_at"] = time.time()
-            frame = message.get("telemetry")
-            if isinstance(frame, dict) and len(self._worker_frames) < 256:
-                self._worker_frames.append({"worker": handle.name, **frame})
-            if lease is not None and lease.remaining:
-                # The worker claims completion but cells are missing — a
-                # protocol bug or a filtered duplicate; re-queue the rest.
-                self._requeue(lease)
-            self._assign_work(handle)
         else:
             self._revoke(handle, "worker.bad_frame", frame=kind)
 
@@ -483,8 +470,15 @@ class Coordinator:
         ):
             self._revoke(handle, "worker.bad_frame", frame="result")
             return
+        lease = handle.lease
+        if lease is not None and lease.spec == spec:
+            handle.lease = None
+            if lease.timeline is not None:
+                lease.timeline["done_at"] = time.time()
+            # The next lease goes out before the store write in _finish.
+            self._assign_work(handle)
         if spec_hash not in self._outstanding:
-            return  # duplicate from a revoked-but-alive lease; already merged
+            return  # a duplicate delivery; already merged
         telemetry = message.get("telemetry")
         probes = message.get("probes")
         record = RunRecord(
@@ -497,11 +491,6 @@ class Coordinator:
             probes=probes if isinstance(probes, dict) else None,
         )
         self._finish(spec_hash, record)
-        if handle.lease is not None:
-            handle.lease.remaining.discard(spec_hash)
-            timeline = handle.lease.timeline
-            if timeline is not None and timeline["first_result_at"] is None:
-                timeline["first_result_at"] = time.time()
 
     def _finish(self, spec_hash: str, record: RunRecord) -> None:
         self._outstanding.discard(spec_hash)
@@ -527,37 +516,31 @@ class Coordinator:
             return
         if not self._pending:
             return  # stays idle; may be re-used when a lease is revoked
-        shard = self._pending.pop(0)
-        self._attempts[shard.shard_id] += 1
-        timeline: Optional[Dict] = None
+        spec, leases = self._pending.popleft()
+        lease = _Lease(
+            spec=spec,
+            spec_hash=spec.spec_hash(),
+            attempt=leases + 1,
+            last_seen=time.monotonic(),
+        )
         if self._telemetry_on:
-            timeline = {
-                "shard": shard.shard_id,
+            lease.timeline = {
                 "worker": handle.name,
-                "cells": len(shard.specs),
-                "attempt": self._attempts[shard.shard_id],
+                "cell": lease.spec_hash,
+                "attempt": lease.attempt,
                 "leased_at": time.time(),
-                "first_result_at": None,
                 "done_at": None,
                 "revoked": False,
             }
-            self._timelines.append(timeline)
-        handle.lease = _Lease(
-            shard=shard,
-            remaining={spec.spec_hash() for spec in shard.specs},
-            attempts=self._attempts[shard.shard_id],
-            last_seen=time.monotonic(),
-            timeline=timeline,
-        )
-        log_event(self._log, "lease.assigned", shard=shard.shard_id,
-                  worker=handle.name, cells=len(shard.specs),
-                  attempt=self._attempts[shard.shard_id])
+            self._timelines.append(lease.timeline)
+        handle.lease = lease
+        log_event(self._log, "lease.assigned", cell=lease.spec_hash,
+                  worker=handle.name, attempt=lease.attempt)
         try:
             handle.channel.send(
                 {
                     "type": "lease",
-                    "shard": shard.shard_id,
-                    "specs": [spec.to_wire() for spec in shard.specs],
+                    "spec": spec.to_wire(),
                     "trace": self._telemetry_on,
                     "probes": self._probes_on,
                 }
@@ -573,7 +556,8 @@ class Coordinator:
         lease, handle.lease = handle.lease, None
         if lease is not None:
             self._requeue(lease)
-        self._redistribute()
+        for idle in list(self._handles.values()):
+            self._assign_work(idle)
 
     def _reap_spawned(self) -> None:
         """Start replacements for started workers that died with work left.
@@ -615,7 +599,7 @@ class Coordinator:
         """Drop a silent or protocol-violating worker and revoke its lease.
 
         Closing the channel pops the reader loop, which funnels into
-        :meth:`_on_closed` for the re-queue of the lease's unfinished cells.
+        :meth:`_on_closed` for the re-queue of the lease's cell.
         Frames it queued before that are still handled, so the handle stops
         being ready: no new lease goes to a closed channel.  A worker this
         coordinator started is killed too.
@@ -627,7 +611,7 @@ class Coordinator:
             if lease.timeline is not None:
                 lease.timeline["revoked"] = True
         log_event(self._log, event, level=logging.WARNING,
-                  shard=lease.shard.shard_id if lease is not None else None,
+                  cell=lease.spec_hash if lease is not None else None,
                   worker=handle.name, **fields)
         if handle.proc is not None and handle.proc.poll() is None:
             handle.proc.kill()
@@ -650,58 +634,32 @@ class Coordinator:
             return  # a replacement spawn is still possible
         if self.options.transport == "socket" and self.options.workers == 0:
             return  # listen-only mode: external workers may still attach
-        for shard in self._pending:
-            self._abandon(shard, reason="no workers left and respawn budget spent")
+        for spec, _ in self._pending:
+            self._abandon(spec, "abandoned: no workers left and respawn budget spent")
         self._pending.clear()
 
     def _requeue(self, lease: _Lease) -> None:
-        remaining = [
-            spec for spec in lease.shard.specs if spec.spec_hash() in lease.remaining
-        ]
-        remaining = [
-            spec for spec in remaining if spec.spec_hash() in self._outstanding
-        ]
-        if not remaining:
+        """Queue a revoked lease's cell again, or fail it after max_leases."""
+        if lease.spec_hash not in self._outstanding:
             return
-        shard = Shard(
-            shard_id=self._next_shard_id,
-            specs=tuple(remaining),
-            est_work=lease.shard.est_work,
-        )
-        self._next_shard_id += 1
-        self._attempts[shard.shard_id] = lease.attempts
-        if lease.attempts >= self.options.max_leases:
+        if lease.attempt >= self.options.max_leases:
             self._abandon(
-                shard,
-                reason=f"abandoned after {lease.attempts} revoked lease(s)",
+                lease.spec,
+                f"abandoned after {lease.attempt} revoked lease(s): its worker "
+                "died or went silent every time",
             )
             return
-        self._pending.append(shard)
-        log_event(self._log, "shard.requeued", shard=shard.shard_id,
-                  cells=len(shard.specs), attempts=lease.attempts)
-        self._redistribute()
+        self._pending.append((lease.spec, lease.attempt))
+        log_event(self._log, "cell.requeued", cell=lease.spec_hash,
+                  attempts=lease.attempt)
 
-    def _redistribute(self) -> None:
-        for handle in list(self._handles.values()):
-            if not self._pending:
-                break
-            self._assign_work(handle)
-
-    def _abandon(self, shard: Shard, reason: str) -> None:
-        log_event(self._log, "shard.abandoned", level=logging.WARNING,
-                  shard=shard.shard_id, cells=len(shard.specs), reason=reason)
-        for spec in shard.specs:
-            spec_hash = spec.spec_hash()
-            if spec_hash not in self._outstanding:
-                continue
-            self._finish(
-                spec_hash,
-                RunRecord(
-                    spec=spec,
-                    error=f"shard {shard.shard_id} {reason} — worker keeps "
-                    "dying on these cells or no worker ever connected",
-                ),
-            )
+    def _abandon(self, spec: RunSpec, reason: str) -> None:
+        spec_hash = spec.spec_hash()
+        if spec_hash not in self._outstanding:
+            return
+        log_event(self._log, "cell.abandoned", level=logging.WARNING,
+                  cell=spec_hash, reason=reason)
+        self._finish(spec_hash, RunRecord(spec=spec, error=reason))
 
     # -- teardown --------------------------------------------------------------
 
@@ -749,7 +707,7 @@ class Coordinator:
                         "kind": "dist",
                         "transport": self.options.transport,
                         "workers": self.options.workers,
-                        "shards": self._timelines,
+                        "leases": self._timelines,
                         "revocations": self._revocations,
                         "journal_flush_s": round(flush_s, 6),
                         "heartbeat_gaps": {
@@ -757,7 +715,6 @@ class Coordinator:
                             "max_s": round(max(gaps), 6) if gaps else 0.0,
                             "mean_s": round(sum(gaps) / len(gaps), 6) if gaps else 0.0,
                         },
-                        "worker_frames": self._worker_frames,
                     }
                 )
 

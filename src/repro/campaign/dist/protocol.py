@@ -15,11 +15,11 @@ Message vocabulary (all coordinator/worker traffic):
 type              direction  meaning
 ================  =========  =================================================
 ``hello``         w -> c     worker announces itself (name, pid, host)
-``lease``         c -> w     a shard to execute: id + serialized specs,
+``lease``         c -> w     one cell to execute: its serialized ``spec``,
                              plus the coordinator's ``trace`` and
                              ``probes`` switches (booleans)
-``result``        w -> c     one finished cell (payload/report/elapsed/error)
-``shard_done``    w -> c     every cell of the leased shard was streamed back
+``result``        w -> c     the leased cell's outcome
+                             (payload/report/elapsed/error)
 ``heartbeat``     w -> c     liveness while executing a long cell
 ``shutdown``      c -> w     no more work; the worker exits its serve loop
 ================  =========  =================================================
@@ -27,19 +27,15 @@ type              direction  meaning
 The coordinator drops a worker that sends it any other frame type, or a
 ``result`` whose spec does not decode, whose ``elapsed_s`` is not a number,
 or that carries neither a dict ``payload`` nor a non-empty ``error``: the
-worker's lease is revoked and its unfinished cells go to another worker.
+worker's lease is revoked and its cell goes to another worker.
 
 A worker sets its own tracing and probes to a lease's ``trace`` and
-``probes`` values before running the shard, so every worker, however it was
-started, runs its cells under the coordinator's switches; a lease without
-them (an older coordinator) leaves the worker's environment defaults
-(``REPRO_TELEMETRY``/``REPRO_PROBES``) in force.  With ``trace`` on,
-``result`` frames carry an optional ``telemetry`` dict (the cell's
+``probes`` values before running the cell, so every worker, however it was
+started, runs its cells under the coordinator's switches.  With ``trace``
+on, a ``result`` frame carries an optional ``telemetry`` dict (the cell's
 span/phase snapshot, merged by the coordinator into the store's index
-entry) and ``shard_done`` frames an optional worker-process aggregate under
-the same key; with ``probes`` on, ``result`` frames carry the cell's probe
-sidecar under ``probes``.  All of these fields are additive: receivers that
-predate them ignore unknown keys, so mixed-version fleets interoperate.
+entry); with ``probes`` on, it carries the cell's probe sidecar under
+``probes``.
 
 Run specs travel as their wire form (:meth:`repro.campaign.plan.
 RunSpec.to_wire`), so a worker needs nothing but the scenario registry to

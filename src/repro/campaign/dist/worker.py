@@ -1,22 +1,18 @@
-"""The distributed worker: lease shards, execute cells, stream results.
+"""The distributed worker: lease a cell, run it, send its result, repeat.
 
 A worker is a plain process (same host or another one) running
 :func:`serve_channel` over any :class:`~repro.campaign.dist.protocol.
-Channel`.  It owns no store and no plan — it announces itself, receives
-shard leases, executes each cell with the executor's single-cell runner
-(:func:`repro.campaign.executor.run_cell`) and streams every record back
-the moment it finishes, one ``result`` frame per cell, so the coordinator
-can merge results (and survive this worker's death) without waiting for
-shard boundaries.
+Channel`.  It owns no store and no plan — it announces itself, then for
+each ``lease`` frame applies the coordinator's ``trace``/``probes``
+switches (:func:`repro.telemetry.core.set_instrumentation`, so a worker
+started by hand on another host records exactly what a forked one does),
+runs the leased cell with the executor's single-cell runner
+(:func:`repro.campaign.executor.run_cell`) and answers with one ``result``
+frame.
 
-Each lease carries the coordinator's ``trace``/``probes`` switches and the
-worker applies them (:func:`repro.telemetry.core.set_instrumentation`)
-before the shard's cells, so a worker started by hand on another host
-records exactly what a forked one does.
-
-Liveness is a background heartbeat: while a shard is leased, a daemon
-thread pings the coordinator every ``heartbeat_s`` so a long-running cell
-is distinguishable from a dead worker.  :func:`serve_socket` is the body
+Liveness is a background heartbeat: while a cell runs, a daemon thread
+pings the coordinator every ``heartbeat_s`` so a long-running cell is
+distinguishable from a dead worker.  :func:`serve_socket` is the body
 of a ``repro campaign worker --connect`` process; :func:`serve_forked` is
 the body of a child the coordinator forked for the ``local`` transport.
 """
@@ -31,9 +27,8 @@ from typing import Iterable, Optional
 
 from repro.campaign.dist.protocol import Channel, ProtocolError
 from repro.campaign.plan import RunSpec
-from repro.telemetry.core import TELEMETRY, disable, set_instrumentation, snapshot_of
+from repro.telemetry.core import set_instrumentation
 from repro.telemetry.log import get_logger, log_event
-from repro.telemetry.probes import PROBES, disable_probes
 
 #: Default liveness ping interval (seconds).  Must be well under the
 #: coordinator's lease timeout; see DistOptions.lease_timeout_s.
@@ -46,32 +41,25 @@ def default_worker_name() -> str:
 
 
 class _Heartbeat:
-    """Background pinger active while a shard is leased."""
+    """Background pinger active while ``busy`` is set (a cell runs)."""
 
     def __init__(self, channel: Channel, interval_s: float) -> None:
         self._channel = channel
         self._interval_s = interval_s
-        self._shard_id: Optional[int] = None
-        self._lock = threading.Lock()
+        self.busy = threading.Event()
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
         self._thread.start()
-
-    def watch(self, shard_id: Optional[int]) -> None:
-        with self._lock:
-            self._shard_id = shard_id
 
     def stop(self) -> None:
         self._stop.set()
 
     def _run(self) -> None:
         while not self._stop.wait(self._interval_s):
-            with self._lock:
-                shard_id = self._shard_id
-            if shard_id is None:
+            if not self.busy.is_set():
                 continue
             try:
-                self._channel.send({"type": "heartbeat", "shard": shard_id})
+                self._channel.send({"type": "heartbeat"})
             except (OSError, ValueError):
                 return  # coordinator is gone; the main loop will notice too
 
@@ -82,7 +70,7 @@ def serve_channel(
     heartbeat_s: float = DEFAULT_HEARTBEAT_S,
     log=None,
 ) -> int:
-    """Serve shard leases over an established channel until shutdown.
+    """Serve cell leases over an established channel until shutdown.
 
     Returns the number of cells executed.  Failures inside a cell become
     error records in the result stream (exactly like the serial executor);
@@ -110,41 +98,27 @@ def serve_channel(
                 raise ProtocolError(
                     f"worker expected a lease or shutdown, got {message['type']!r}"
                 )
-            shard_id = int(message["shard"])
-            specs = [RunSpec.from_wire(form) for form in message["specs"]]
-            # A lease without the keys comes from an older coordinator:
-            # keep this process's own (environment-given) switches.
-            set_instrumentation(
-                bool(message.get("trace", TELEMETRY.enabled)),
-                bool(message.get("probes", PROBES.enabled)),
-            )
-            log(f"[{name}] leased shard {shard_id} ({len(specs)} cell(s))")
-            heartbeat.watch(shard_id)
-            for spec in specs:
-                record = run_cell(spec)
-                executed += 1
-                result = {
-                    "type": "result",
-                    "shard": shard_id,
-                    "spec": spec.to_wire(),
-                    "elapsed_s": record.elapsed_s,
-                    "error": record.error,
-                }
-                if record.payload is not None:
-                    result["payload"] = record.payload
-                    result["report"] = record.report
-                if record.telemetry is not None:
-                    result["telemetry"] = record.telemetry
-                if record.probes is not None:
-                    result["probes"] = record.probes
-                channel.send(result)
-            heartbeat.watch(None)
-            done = {"type": "shard_done", "shard": shard_id}
-            if TELEMETRY.enabled:
-                # Worker-process aggregate (spans recorded outside any cell
-                # capture — lease handling, idle time between cells).
-                done["telemetry"] = snapshot_of(TELEMETRY.tracer, TELEMETRY.metrics)
-            channel.send(done)
+            spec = RunSpec.from_wire(message["spec"])
+            set_instrumentation(bool(message["trace"]), bool(message["probes"]))
+            log(f"[{name}] leased {spec.label()}")
+            heartbeat.busy.set()
+            record = run_cell(spec)
+            heartbeat.busy.clear()
+            executed += 1
+            result = {
+                "type": "result",
+                "spec": message["spec"],
+                "elapsed_s": record.elapsed_s,
+                "error": record.error,
+            }
+            if record.payload is not None:
+                result["payload"] = record.payload
+                result["report"] = record.report
+            if record.telemetry is not None:
+                result["telemetry"] = record.telemetry
+            if record.probes is not None:
+                result["probes"] = record.probes
+            channel.send(result)
     finally:
         heartbeat.stop()
         channel.close()
@@ -183,19 +157,16 @@ def serve_forked(
     coordinator-side sockets the fork copied.  They are closed by fd: via
     their :class:`Channel` could wait forever on a lock a coordinator reader
     thread held at fork time, and ``shutdown()`` would cut the coordinator's
-    connection too.  Tracing and probes start off, so a lease switches them
-    on with fresh recorders, not the coordinator's.  Stray prints go to fd
-    2 (``os.dup2(2, 1)``: ``sys.stderr`` may have no file descriptor under
-    a test harness).  The caller must leave by ``os._exit``: interpreter
-    exit would run the coordinator's ``atexit``/``weakref.finalize`` hooks,
-    deleting its temporary directories.
+    connection too.  Stray prints go to fd 2 (``os.dup2(2, 1)``:
+    ``sys.stderr`` may have no file descriptor under a test harness).  The
+    caller must leave by ``os._exit``: interpreter exit would run the
+    coordinator's ``atexit``/``weakref.finalize`` hooks, deleting its
+    temporary directories.
     """
     for inherited_sock in inherited:
         fd = inherited_sock.detach()
         if fd >= 0:
             os.close(fd)
-    disable()
-    disable_probes()
     os.dup2(2, 1)
     sys.stdout = sys.stderr
     channel = Channel.over_socket(sock, name="coordinator@fork")

@@ -54,8 +54,6 @@ class Scenario:
     #: ``runner(scale, **params) -> payload dict`` (JSON-safe).
     runner: Callable[..., Mapping]
     tags: Tuple[str, ...] = ()
-    #: Optional ``reporter(payload) -> str``; defaults to ``payload["report"]``.
-    reporter: Optional[Callable[[Mapping], str]] = None
     #: Optional ``cost_hints(scale, **params) -> mapping`` refining the
     #: planner's per-cell workload profile for backend routing.  Recognized
     #: keys (all optional): ``nodes`` (machine size, for scenarios that
@@ -73,9 +71,7 @@ class Scenario:
         return size
 
     def render_report(self, payload: Mapping) -> str:
-        """Human-readable report for one payload."""
-        if self.reporter is not None:
-            return self.reporter(payload)
+        """Human-readable report for one payload: its ``report``, else JSON."""
         report = payload.get("report")
         if isinstance(report, str):
             return report
@@ -115,7 +111,6 @@ def scenario(
     description: str = "",
     axes: Optional[Mapping[str, Sequence[object]]] = None,
     tags: Sequence[str] = (),
-    reporter: Optional[Callable[[Mapping], str]] = None,
     cost_hints: Optional[Callable[..., Mapping[str, float]]] = None,
 ) -> Callable[[Callable[..., Mapping]], Callable[..., Mapping]]:
     """Decorator registering a runner function as a scenario."""
@@ -131,7 +126,6 @@ def scenario(
                 axes={k: tuple(v) for k, v in (axes or {}).items()},
                 runner=runner,
                 tags=tuple(tags),
-                reporter=reporter,
                 cost_hints=cost_hints,
             )
         )

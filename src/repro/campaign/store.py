@@ -491,8 +491,8 @@ class ArtifactStore:
     def save_session_telemetry(self, payload: Mapping) -> pathlib.Path:
         """Persist one campaign session's lifecycle telemetry.
 
-        Used by the distributed coordinator for shard timelines, heartbeat
-        gaps and revocations — data that belongs to the *session*, not to
+        Used by the distributed coordinator for its per-cell lease
+        timelines, heartbeat gaps and revocations — data that belongs to the *session*, not to
         any single cell.  Files are numbered, so repeated sessions against
         the same store accumulate instead of overwriting.
         """

@@ -14,7 +14,7 @@ Sweeps::
 
 ``campaign run`` plans a sweep over the requested scenarios' parameter
 grids, skips every run whose spec hash is already in the artifact store and
-leases the rest, in shards, to worker processes forked from the
+leases the rest, one cell at a time, to worker processes forked from the
 coordinator (resumable: a killed campaign picks up from the store).
 
 Across hosts::
@@ -115,8 +115,8 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         type=float,
         default=30.0,
         metavar="S",
-        help="revoke a worker's shard lease after this many seconds of "
-        "silence and re-lease it (default: 30)",
+        help="revoke a worker's lease after this many seconds of silence "
+        "and re-lease its cell (default: 30)",
     )
     run.add_argument(
         "--store",
@@ -173,14 +173,14 @@ def build_campaign_parser() -> argparse.ArgumentParser:
 
     worker = sub.add_parser(
         "worker",
-        help="serve a distributed campaign coordinator (shard-leasing loop)",
+        help="serve a distributed campaign coordinator (cell-leasing loop)",
     )
     worker.add_argument(
         "--connect",
         required=True,
         metavar="HOST:PORT",
         help="connect to a coordinator's socket transport (possibly on "
-        "another host) and execute leased shards until shutdown",
+        "another host) and execute leased cells until shutdown",
     )
     worker.add_argument("--name", default=None, help="worker name (default: host:pid)")
     worker.add_argument(
@@ -198,7 +198,7 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         "outside repro.campaign.scenarios are executable in this worker",
     )
     worker.add_argument(
-        "--quiet", action="store_true", help="suppress per-shard log lines"
+        "--quiet", action="store_true", help="suppress per-cell log lines"
     )
 
     status = sub.add_parser("status", help="summarize an artifact store")
@@ -357,7 +357,7 @@ def _worker_main(args, parser) -> int:
             importlib.import_module(args.preload)
         except ImportError as exc:
             parser.error(f"cannot import --preload module {args.preload!r}: {exc}")
-    # --quiet keeps its meaning (no per-shard lines); otherwise the worker
+    # --quiet keeps its meaning (no per-cell lines); otherwise the worker
     # logs through the structured repro.telemetry logger (REPRO_LOG=json|text).
     log = (lambda text: None) if args.quiet else None
     try:

@@ -20,7 +20,6 @@ adequate backend (``backend="auto"``).
 from repro.model.base import (
     BackendError,
     NetworkModel,
-    available_backends,
     build_network_model,
 )
 from repro.model.cost import COST_MODELS, CostEstimate, WorkloadProfile
@@ -31,6 +30,5 @@ __all__ = [
     "CostEstimate",
     "NetworkModel",
     "WorkloadProfile",
-    "available_backends",
     "build_network_model",
 ]

@@ -122,11 +122,6 @@ class BackendError(LookupError):
     """Unknown backend name (subclasses LookupError for clean CLI messages)."""
 
 
-def available_backends() -> tuple:
-    """The backend names, sorted."""
-    return ("flit", "flow")
-
-
 def build_network_model(
     config: Optional[SimulationConfig] = None,
     sim: Optional["Simulator"] = None,

@@ -3,7 +3,7 @@
 The output of :func:`chrome_trace` loads directly in ``chrome://tracing``
 or https://ui.perfetto.dev: one process row per data source (pid 1 =
 campaign cells, pid 2 = the distributed session), one thread row per cell
-or per shard lease, and every recorded span as a complete ("X") event with
+or per worker, and every recorded span as a complete ("X") event with
 its args attached.  Timestamps are wall-clock microseconds: each cell
 snapshot carries its capture's wall epoch (``t0``) and span offsets are
 relative to it, so cells executed by different worker processes line up on
@@ -124,12 +124,17 @@ def probe_counter_events(snapshot: Mapping, tid: int) -> List[Dict]:
 
 
 def session_events(session: Mapping, tid_of: Dict[str, int]) -> List[Dict]:
-    """Trace events for one distributed-session telemetry payload."""
+    """Trace events for one distributed-session telemetry payload.
+
+    One complete event per lease, on its worker's row.  Sessions stored
+    before leases were per cell list shard timelines under ``shards``
+    instead of ``leases``; they render alike, named by shard id.
+    """
     out: List[Dict] = []
-    shards = session.get("shards")
-    if not isinstance(shards, list):
+    timelines = session.get("leases", session.get("shards"))
+    if not isinstance(timelines, list):
         return out
-    for timeline in shards:
+    for timeline in timelines:
         if not isinstance(timeline, Mapping):
             continue
         worker = str(timeline.get("worker", "?"))
@@ -143,20 +148,23 @@ def session_events(session: Mapping, tid_of: Dict[str, int]) -> List[Dict]:
         except (KeyError, TypeError, ValueError):
             continue
         done_at = timeline.get("done_at")
+        # A revoked shard of an older store may have got as far as a result.
         first_at = timeline.get("first_result_at")
         end = done_at if isinstance(done_at, (int, float)) else (
             first_at if isinstance(first_at, (int, float)) else leased_at
         )
         args = {
-            "cells": timeline.get("cells"),
             "attempt": timeline.get("attempt"),
             "revoked": bool(timeline.get("revoked")),
         }
-        if isinstance(first_at, (int, float)):
-            args["lease_to_first_result_s"] = round(first_at - leased_at, 6)
+        if "cell" in timeline:
+            name = f"cell {timeline['cell']}"
+        else:
+            name = f"shard {timeline.get('shard', '?')}"
+            args["cells"] = timeline.get("cells")
         out.append(
             {
-                "name": f"shard {timeline.get('shard', '?')}",
+                "name": name,
                 "cat": "dist",
                 "ph": "X",
                 "ts": leased_at * 1e6,
@@ -169,7 +177,7 @@ def session_events(session: Mapping, tid_of: Dict[str, int]) -> List[Dict]:
         if timeline.get("revoked"):
             out.append(
                 {
-                    "name": f"revoke shard {timeline.get('shard', '?')}",
+                    "name": f"revoke {name}",
                     "cat": "dist",
                     "ph": "i",
                     "s": "p",

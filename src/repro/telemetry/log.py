@@ -7,12 +7,12 @@ per line) — and ``REPRO_LOG_LEVEL`` the threshold (default ``INFO``).
 
 Call sites emit *events*, not prose::
 
-    log_event(logger, "lease.revoked", shard=3, worker="w1", cells=12)
+    log_event(logger, "lease.revoked", worker="w1", silent_s=31.5)
 
 so the same call renders as either::
 
-    lease.revoked shard=3 worker=w1 cells=12
-    {"ts": ..., "level": "INFO", "event": "lease.revoked", "shard": 3, ...}
+    lease.revoked worker=w1 silent_s=31.5
+    {"ts": ..., "level": "INFO", "event": "lease.revoked", "worker": "w1", ...}
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
-"""Distributed campaign execution: protocol, shards, coordinator, resume.
+"""Distributed campaign execution: protocol, leases, coordinator, resume.
 
 The end-to-end tests run real worker processes.  ``local`` workers are
 forked from this process and see every scenario it registered; spawned
 ones (the TCP transport, and ``local`` where fork is unavailable) are fresh
 interpreters, so scenarios they execute must be importable: cheap test
 scenarios live in a generated module on ``sys.path`` handed to workers via
-``--preload``.  The crash tests SIGKILL actual worker processes mid-shard.
+``--preload``.  The crash tests SIGKILL actual worker processes mid-cell.
 """
 
 from __future__ import annotations
@@ -29,13 +29,13 @@ from repro.campaign import (
     Coordinator,
     DistOptions,
     RunSpec,
-    ShardPlanner,
     ensure_builtin_scenarios,
     execute_plan,
     plan_campaign,
     run_cell,
     run_distributed,
 )
+from repro.campaign.dist.coordinator import _dispatch_order
 from repro.campaign.dist.protocol import (
     Channel,
     MAX_FRAME_BYTES,
@@ -47,13 +47,13 @@ from repro.campaign.router import CellCost
 from repro.experiments.cli import _parse_bind, campaign_main
 from repro.model.cost import CostEstimate
 from repro.sim.rng import RandomStreams
-from repro.telemetry import disable, disable_probes, enable, enable_probes, timed
+from repro.telemetry import disable, disable_probes, enable, enable_probes
 
 # -- the worker-visible scenario module ---------------------------------------------
 
 #: Source of the scenario module preloaded into worker subprocesses.  The
 #: runner derives its payload from the run seed (determinism assertions)
-#: and sleeps so shards overlap with the crash window.
+#: and sleeps so leases overlap with the crash window.
 _SLEEPY_MODULE = "dist_sleepy_scenarios"
 _SLEEPY_SOURCE = '''
 """Test scenarios for the distributed executor (worker-importable)."""
@@ -243,9 +243,10 @@ class TestProtocol:
     def test_roundtrip_messages(self):
         loop = _Loopback()
         try:
-            sent = {"type": "lease", "shard": 3, "specs": [{"scenario": "x"}]}
+            sent = {"type": "lease", "spec": {"scenario": "x"}, "trace": False,
+                    "probes": False}
             loop.left.send(sent)
-            loop.left.send({"type": "heartbeat", "shard": 3})
+            loop.left.send({"type": "heartbeat"})
             assert loop.right.recv() == sent
             assert loop.right.recv()["type"] == "heartbeat"
         finally:
@@ -270,7 +271,7 @@ class TestProtocol:
             channel.recv()
 
     def test_message_without_type_rejected(self):
-        channel = Channel(io.BytesIO(encode_frame({"shard": 1})), io.BytesIO())
+        channel = Channel(io.BytesIO(encode_frame({"spec": {}})), io.BytesIO())
         with pytest.raises(ProtocolError, match="without a type"):
             channel.recv()
 
@@ -297,12 +298,12 @@ class TestProtocol:
 
 class TestResultStreaming:
     def test_each_cell_streams_as_one_result_frame(self):
-        """5 cells come back as 5 result frames in lease order, then shard_done."""
+        """Each one-cell lease is answered by exactly one result frame."""
         from repro.campaign.dist.worker import serve_channel
 
         loop = _Loopback()
         specs = [
-            RunSpec.make("_dist-sleepy", {"i": i, "sleep_s": 0.0}) for i in range(5)
+            RunSpec.make("_dist-sleepy", {"i": i, "sleep_s": 0.0}) for i in range(3)
         ]
         # A 30 s heartbeat keeps liveness pings out of the frame sequence
         # the test asserts on.
@@ -316,27 +317,21 @@ class TestResultStreaming:
         frames = []
         try:
             assert loop.left.recv()["type"] == "hello"
-            loop.left.send(
-                {
-                    "type": "lease",
-                    "shard": 7,
-                    "specs": [spec.to_wire() for spec in specs],
-                }
-            )
-            while True:
-                frame = loop.left.recv()
-                frames.append(frame)
-                if frame["type"] == "shard_done":
-                    break
+            for spec in specs:
+                loop.left.send(
+                    {"type": "lease", "spec": spec.to_wire(), "trace": False,
+                     "probes": False}
+                )
+                frames.append(loop.left.recv())
             loop.left.send({"type": "shutdown"})
+            # Nothing else was sent: the next read is the worker's close.
+            assert loop.left.recv() is None
         finally:
             server.join(timeout=10)
             loop.close()
-        assert [f["type"] for f in frames] == ["result"] * 5 + ["shard_done"]
-        assert all(frame["shard"] == 7 for frame in frames)
-        # Every cell came back exactly once, intact and in lease order.
-        assert [RunSpec.from_wire(f["spec"]) for f in frames[:5]] == specs
-        assert all(f["error"] == "" and "payload" in f for f in frames[:5])
+        assert [f["type"] for f in frames] == ["result"] * 3
+        assert [RunSpec.from_wire(f["spec"]) for f in frames] == specs
+        assert all(f["error"] == "" and "payload" in f for f in frames)
 
 
 # -- instrumentation switches on leases ---------------------------------------------
@@ -363,11 +358,10 @@ class TestLeaseSwitches:
             assert loop.left.recv()["type"] == "hello"
             for switch in (True, False):
                 loop.left.send(
-                    {"type": "lease", "shard": 1, "specs": [spec.to_wire()],
-                     "trace": switch, "probes": switch}
+                    {"type": "lease", "spec": spec.to_wire(), "trace": switch,
+                     "probes": switch}
                 )
                 results.append(loop.left.recv())
-                assert loop.left.recv()["type"] == "shard_done"
             loop.left.send({"type": "shutdown"})
         finally:
             server.join(timeout=10)
@@ -379,7 +373,7 @@ class TestLeaseSwitches:
         assert "telemetry" not in off and "probes" not in off
 
 
-# -- shard planning -----------------------------------------------------------------
+# -- dispatch order -----------------------------------------------------------------
 
 def _costed_plan(works):
     specs = tuple(
@@ -397,49 +391,13 @@ def _costed_plan(works):
     return CampaignPlan(name="costed", specs=specs, costs=costs)
 
 
-class TestShardPlanner:
-    def test_uniform_grid_splits_evenly(self):
-        plan = _sleepy_plan(cells=6)
-        shards = ShardPlanner(shards_per_worker=1).partition(plan, workers=3)
-        assert len(shards) == 3
-        assert sorted(len(shard) for shard in shards) == [2, 2, 2]
-        flattened = {spec for shard in shards for spec in shard.specs}
-        assert flattened == set(plan.specs)
-
-    def test_costed_cells_balance_by_work(self):
-        plan = _costed_plan([100.0, 1.0, 1.0, 1.0, 99.0, 1.0])
-        shards = ShardPlanner(shards_per_worker=1).partition(plan, workers=2)
-        assert len(shards) == 2
-        loads = sorted(shard.est_work for shard in shards)
-        # LPT puts the two heavy cells on different shards.
-        assert loads[1] <= 104.0
-
-    def test_partition_is_deterministic_and_order_preserving(self):
-        plan = _sleepy_plan(cells=6)
-        once = ShardPlanner().partition(plan, workers=2)
-        twice = ShardPlanner().partition(plan, workers=2)
-        assert once == twice
-        order = {spec: i for i, spec in enumerate(plan.specs)}
-        for shard in once:
-            indices = [order[spec] for spec in shard.specs]
-            assert indices == sorted(indices)
-
-    def test_more_shards_than_workers_for_releasing(self):
-        plan = _sleepy_plan(cells=6)
-        shards = ShardPlanner(shards_per_worker=4).partition(plan, workers=2)
-        assert len(shards) == 6  # capped by the cell count
-
-    def test_max_shard_cells_caps_huge_uniform_shards(self):
-        assert ShardPlanner(max_shard_cells=10).shard_count(1000, workers=1) == 100
-
-    def test_empty_subset_yields_no_shards(self):
-        assert ShardPlanner().partition(_sleepy_plan(2), 2, specs=[]) == []
-
-    def test_invalid_knobs_rejected(self):
-        with pytest.raises(ValueError):
-            ShardPlanner(shards_per_worker=0)
-        with pytest.raises(ValueError):
-            ShardPlanner().shard_count(4, workers=0)
+class TestDispatchOrder:
+    def test_plan_order_unless_costed_then_heaviest_first(self):
+        plain = _sleepy_plan(cells=4)
+        assert _dispatch_order(plain, plain.specs) == list(plain.specs)
+        costed = _costed_plan([1.0, 5.0, 2.0, 5.0, 1.0])
+        order = _dispatch_order(costed, costed.specs)
+        assert [spec.params_dict["i"] for spec in order] == [1, 3, 2, 0, 4]
 
 
 # -- options ------------------------------------------------------------------------
@@ -472,6 +430,13 @@ def _local_only_runner(scale, *, i=0):
     return {"metrics": {"i": float(i), "seed": float(scale.seed % 1000)}}
 
 
+def _worker_killing_runner(scale, *, i=0):
+    """Cell 0 kills the worker process running it; the rest are sleepers."""
+    if i == 0:
+        os._exit(1)
+    return _sleepy_runner(scale, i=i)
+
+
 def _local_options(workers=2, **kwargs):
     """Local-transport options without ``preload`` or ``extra_env``."""
     return DistOptions(
@@ -502,6 +467,34 @@ class TestLocalTransport:
         assert result.failed == 0, [r.error for r in result.records if r.error]
         assert result.executed == 4
 
+    def test_cell_that_kills_its_worker_fails_alone(self, tmp_path):
+        """Every lease of cell 0 kills its worker; after max_leases deaths
+        cell 0 fails, and no other cell is abandoned with it."""
+        try:
+            register(
+                Scenario(
+                    name="_dist-killer",
+                    description="cell 0 exits its worker process",
+                    axes={"i": tuple(range(12))},
+                    runner=_worker_killing_runner,
+                )
+            )
+        except ScenarioError:
+            pass  # already registered by an earlier run in this process
+        plan = plan_campaign(["_dist-killer"])
+        store = ArtifactStore(tmp_path / "dist")
+        result = run_distributed(plan, store=store, options=_local_options())
+        failed = {r.spec.params_dict["i"] for r in result.records if not r.ok}
+        assert failed == {0}, [r.error for r in result.records if r.error]
+        assert result.executed == 11
+        survivors = CampaignPlan(name="survivors", specs=plan.specs[1:])
+        serial_store = _plain_store(survivors, tmp_path / "serial")
+        for spec in survivors:
+            assert (
+                store.result_path(spec).read_bytes()
+                == serial_store.result_path(spec).read_bytes()
+            ), f"artifact for {spec.label()} differs distributed vs serial"
+
     def test_coordinator_temporary_directory_survives_the_workers(self):
         """A forked worker exits without running this process's exit hooks,
         one of which would delete every live ``TemporaryDirectory``."""
@@ -513,29 +506,6 @@ class TestLocalTransport:
             assert result.failed == 0 and result.executed == 4
             assert os.path.isdir(tmp)
             assert len(ArtifactStore(os.path.join(tmp, "store"))) == 4
-
-    def test_worker_frames_carry_no_coordinator_span(self, tmp_path):
-        """A forked worker records into fresh recorders, never into the copy
-        of the coordinator's it was born with."""
-        store = ArtifactStore(tmp_path / "s")
-        enable()
-        try:
-            with timed("coordinator-only-marker"):
-                pass
-            result = run_distributed(
-                _sleepy_plan(cells=4), store=store, options=_local_options()
-            )
-        finally:
-            disable()
-        assert result.failed == 0
-        (session,) = [
-            payload for payload in store.load_session_telemetry()
-            if payload["kind"] == "dist"
-        ]
-        frames = session["worker_frames"]
-        assert frames, "no worker sent a shard_done telemetry frame"
-        for frame in frames:
-            assert "coordinator-only-marker" not in json.dumps(frame)
 
     def test_spawned_workers_where_fork_is_unavailable(
         self, tmp_path, sleepy_env, monkeypatch
@@ -680,7 +650,7 @@ class TestSocketTransport:
 
         A bogus --preload makes every spawned worker exit immediately; once
         the respawn budget is spent the coordinator abandons the pending
-        shards (listen-only --workers 0 mode is the only one that waits)."""
+        cells (listen-only --workers 0 mode is the only one that waits)."""
         plan = _sleepy_plan(cells=2)
         result = run_distributed(
             plan,
@@ -698,8 +668,8 @@ class TestSocketTransport:
     def test_sigkilled_worker_is_re_leased_and_store_matches(
         self, tmp_path, sleepy_env, transport
     ):
-        """Crash-resume acceptance: kill a worker mid-shard; the coordinator
-        re-leases its cells and the final store is hash-for-hash identical
+        """Crash-resume acceptance: kill a worker mid-cell; the coordinator
+        re-leases its cell and the final store is hash-for-hash identical
         to a single-process run.  On ``local`` the replacement forks while
         the coordinator's reader threads run."""
         plan = _sleepy_plan(cells=6, sleep_s=0.3)
@@ -712,19 +682,14 @@ class TestSocketTransport:
         coordinator = Coordinator(
             plan,
             store=store,
-            options=_options(
-                workers=2,
-                transport=transport,
-                extra_env=sleepy_env,
-                shards_per_worker=2,
-            ),
+            options=_options(workers=2, transport=transport, extra_env=sleepy_env),
             progress=progress,
         )
         outcome = {}
         runner = threading.Thread(target=lambda: outcome.update(result=coordinator.run()))
         runner.start()
         try:
-            # Let both workers lease work, then SIGKILL one mid-shard.
+            # Let both workers lease work, then SIGKILL one mid-cell.
             assert first_result.wait(timeout=60), "no result ever arrived"
             pids = coordinator.worker_pids
             assert pids, "no spawned workers to kill"
@@ -751,7 +716,7 @@ class TestSocketTransport:
         self, tmp_path, monkeypatch
     ):
         """A connected worker that takes a lease and goes silent is revoked
-        and its shard re-leased to a live worker; revoking must not wait on
+        and its cell re-leased to a live worker; revoking must not wait on
         the silent connection's reader thread."""
         from repro.campaign.dist.worker import serve_socket
 
@@ -777,7 +742,9 @@ class TestSocketTransport:
         live = None
         try:
             silent.send({"type": "hello", "worker": "silent", "pid": 0, "host": "x"})
-            assert silent.recv()["type"] == "lease"
+            lease = silent.recv()
+            assert lease["type"] == "lease"
+            assert RunSpec.from_wire(lease["spec"]) == plan.specs[0]
             host, port = coordinator.address
             live = threading.Thread(
                 target=serve_socket,
@@ -803,23 +770,22 @@ class TestSocketTransport:
         "bad_frame",
         [
             # No spec: merged, it would raise KeyError('spec') in run().
-            lambda lease: {"type": "result", "shard": lease["shard"],
-                           "elapsed_s": 0.1, "error": ""},
+            lambda lease: {"type": "result", "elapsed_s": 0.1, "error": ""},
             # Neither payload nor error: merged, it would store a cell that
             # is neither executed, cached nor failed.
-            lambda lease: {"type": "result", "shard": lease["shard"],
-                           "spec": lease["specs"][0], "elapsed_s": 0.1,
-                           "error": ""},
-            # A frame type the coordinator does not accept.
-            lambda lease: {"type": "result_batch", "shard": lease["shard"],
-                           "results": []},
+            lambda lease: {"type": "result", "spec": lease["spec"],
+                           "elapsed_s": 0.1, "error": ""},
+            # Frame types the coordinator does not accept.
+            lambda lease: {"type": "result_batch", "results": []},
+            lambda lease: {"type": "shard_done", "shard": 0},
         ],
-        ids=["result-without-spec", "result-without-outcome", "unknown-type"],
+        ids=["result-without-spec", "result-without-outcome", "unknown-type",
+             "shard-done"],
     )
     def test_bad_frame_drops_the_worker_and_re_leases_its_shard(
         self, tmp_path, monkeypatch, bad_frame
     ):
-        """A worker that breaks the protocol is dropped at once, its shard
+        """A worker that breaks the protocol is dropped at once, its cell
         goes to a live worker, and the store matches a serial run."""
         from repro.campaign.dist.worker import serve_socket
 
@@ -827,7 +793,7 @@ class TestSocketTransport:
         monkeypatch.setenv("REPRO_PROBES", "0")
         plan = _sleepy_plan(cells=4)
         store = ArtifactStore(tmp_path / "dropped")
-        # Far above the join timeout: only the drop can free the shard.
+        # Far above the join timeout: only the drop can free the cell.
         coordinator = Coordinator(
             plan,
             store=store,
@@ -857,7 +823,7 @@ class TestSocketTransport:
             )
             live.start()
             runner.join(timeout=30)
-            assert not runner.is_alive(), "coordinator never re-leased the shard"
+            assert not runner.is_alive(), "coordinator never re-leased the cell"
         finally:
             rogue.close()
             if live is not None:
@@ -879,27 +845,26 @@ class TestSocketTransport:
 # -- coordinator unit behaviour -----------------------------------------------------
 
 class TestLeaseBookkeeping:
-    def test_abandoned_shards_become_failed_records(self):
-        """A shard re-leased past max_leases fails its remaining cells."""
+    def test_abandoned_cell_becomes_a_failed_record(self):
+        """A cell whose lease was revoked max_leases times fails alone."""
         from repro.campaign.dist.coordinator import _Lease
-        from repro.campaign.dist.shard import Shard
 
         plan = _sleepy_plan(cells=2)
         coordinator = Coordinator(plan, options=_options(max_leases=2))
         coordinator._outstanding = {spec.spec_hash() for spec in plan.specs}
-        shard = Shard(shard_id=0, specs=plan.specs)
+        doomed, spared = plan.specs
         lease = _Lease(
-            shard=shard,
-            remaining={spec.spec_hash() for spec in plan.specs},
-            attempts=2,  # already at the limit
+            spec=doomed,
+            spec_hash=doomed.spec_hash(),
+            attempt=2,  # already at the limit
             last_seen=0.0,
         )
         coordinator._requeue(lease)
         assert not coordinator._pending
-        assert not coordinator._outstanding
-        records = [r for r in coordinator._records if r is not None]
-        assert len(records) == 2
-        assert all("abandoned" in record.error for record in records)
+        assert coordinator._outstanding == {spared.spec_hash()}
+        failed, untouched = coordinator._records
+        assert "abandoned after 2 revoked lease(s)" in failed.error
+        assert untouched is None
 
     def test_duplicate_results_are_ignored(self, tmp_path):
         plan = _sleepy_plan(cells=1)
@@ -910,7 +875,6 @@ class TestLeaseBookkeeping:
         record = run_cell(spec)
         message = {
             "type": "result",
-            "shard": 0,
             "spec": spec.to_wire(),
             "payload": record.payload,
             "report": record.report,

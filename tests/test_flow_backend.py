@@ -32,9 +32,9 @@ from repro.config import SimulationConfig
 from repro.core.selector import AppAwareSelector
 from repro.experiments.harness import ExperimentScale, build_network
 from repro.model import (
+    COST_MODELS,
     BackendError,
     NetworkModel,
-    available_backends,
     build_network_model,
 )
 from repro.model.flow.network import FlowNetwork, RouteTable
@@ -71,7 +71,10 @@ def _ratio(a: float, b: float) -> float:
 
 class TestBackendRegistry:
     def test_builtin_backends_registered(self):
-        assert set(available_backends()) >= {"flit", "flow"}
+        """Every backend the planner can cost builds under its own name."""
+        for backend in COST_MODELS:
+            network = build_network_model(SimulationConfig.tiny(), backend=backend)
+            assert network.backend_name == backend
 
     def test_config_backend_selects_model(self):
         flit = build_network_model(SimulationConfig.tiny())

@@ -297,7 +297,6 @@ class TestWire:
         record = run_cell(spec)
         frame = {
             "type": "result",
-            "shard": 1,
             "spec": spec.to_wire(),
             "elapsed_s": record.elapsed_s,
             "error": "",
@@ -311,7 +310,6 @@ class TestWire:
     def test_result_frame_without_probes_still_parses(self):
         frame = {
             "type": "result",
-            "shard": 0,
             "spec": _spec().to_wire(),
             "elapsed_s": 0.0,
             "error": "",

@@ -359,7 +359,7 @@ class TestStoreRoundTrip:
     def test_session_telemetry_accumulates(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         store.save_session_telemetry({"kind": "campaign", "phases": {"plan": 0.1}})
-        store.save_session_telemetry({"kind": "dist", "shards": []})
+        store.save_session_telemetry({"kind": "dist", "leases": []})
         payloads = store.load_session_telemetry()
         assert [p["kind"] for p in payloads] == ["campaign", "dist"]
 
@@ -406,7 +406,6 @@ class TestWire:
         record = run_cell(spec)
         frame = {
             "type": "result",
-            "shard": 3,
             "spec": spec.to_wire(),
             "elapsed_s": record.elapsed_s,
             "error": "",
@@ -424,25 +423,12 @@ class TestWire:
         spec = _spec()
         frame = {
             "type": "result",
-            "shard": 0,
             "spec": spec.to_wire(),
             "elapsed_s": 0.0,
             "error": "",
         }
         received = self._roundtrip(frame)
         assert "telemetry" not in received  # additive field, absent when off
-
-    def test_shard_done_aggregate_frame(self):
-        enable()
-        with TELEMETRY.tracer.span("sim.run", cat="sim"):
-            pass
-        frame = {
-            "type": "shard_done",
-            "shard": 1,
-            "telemetry": snapshot_of(TELEMETRY.tracer, TELEMETRY.metrics),
-        }
-        received = self._roundtrip(frame)
-        assert received["telemetry"]["spans"]["sim.run"]["count"] == 1
 
 
 # -- chrome trace export ------------------------------------------------------------
@@ -459,24 +445,20 @@ class TestChromeTrace:
         store.save_session_telemetry(
             {
                 "kind": "dist",
-                "shards": [
+                "leases": [
                     {
-                        "shard": 0,
                         "worker": "w1",
-                        "cells": 4,
+                        "cell": "0123456789abcdef",
                         "attempt": 1,
                         "leased_at": 100.0,
-                        "first_result_at": 100.5,
                         "done_at": 101.0,
                         "revoked": False,
                     },
                     {
-                        "shard": 1,
                         "worker": "w2",
-                        "cells": 2,
+                        "cell": "fedcba9876543210",
                         "attempt": 1,
                         "leased_at": 100.2,
-                        "first_result_at": None,
                         "done_at": None,
                         "revoked": True,
                     },
@@ -519,6 +501,41 @@ class TestChromeTrace:
         assert len(instants) == 1
         assert "revoke" in instants[0]["name"]
 
+    def test_one_event_per_lease_and_shard_sessions_still_render(self, tmp_path):
+        """Each per-cell lease is one event; a session stored before leases
+        were per cell lists shard timelines under ``shards`` and renders."""
+        store = self._traced_store(tmp_path)
+        store.save_session_telemetry(
+            {
+                "kind": "dist",
+                "shards": [
+                    {
+                        "shard": 0,
+                        "worker": "w1",
+                        "cells": 4,
+                        "attempt": 1,
+                        "leased_at": 100.0,
+                        "first_result_at": 100.5,
+                        "done_at": 101.0,
+                        "revoked": False,
+                    },
+                ],
+            }
+        )
+        trace = chrome_trace(store)
+        assert validate_trace(trace) == []
+        leases = [
+            ev for ev in trace["traceEvents"]
+            if ev.get("cat") == "dist" and ev["ph"] == "X"
+        ]
+        assert [ev["name"] for ev in leases] == [
+            "cell 0123456789abcdef", "cell fedcba9876543210", "shard 0",
+        ]
+        assert leases[0]["dur"] == pytest.approx(1e6)
+        assert leases[2]["args"]["cells"] == 4
+        # Both sessions' w1 leases share one worker row.
+        assert leases[0]["tid"] == leases[2]["tid"]
+
     def test_validate_flags_malformed_traces(self):
         assert validate_trace({}) == ["traceEvents is missing or not a list"]
         problems = validate_trace(
@@ -553,22 +570,22 @@ class TestStructuredLog:
     def test_text_format(self, monkeypatch, capsys):
         err = self._capture(
             "text",
-            lambda log: log_event(log, "lease.assigned", shard=3, worker="w 1"),
+            lambda log: log_event(log, "lease.assigned", attempt=3, worker="w 1"),
             monkeypatch,
             capsys,
         )
-        assert 'lease.assigned shard=3 worker="w 1"' in err
+        assert 'lease.assigned attempt=3 worker="w 1"' in err
 
     def test_json_format(self, monkeypatch, capsys):
         err = self._capture(
             "json",
-            lambda log: log_event(log, "lease.revoked", shard=2, silent_s=31.5),
+            lambda log: log_event(log, "lease.revoked", attempt=2, silent_s=31.5),
             monkeypatch,
             capsys,
         )
         payload = json.loads(err.strip().splitlines()[-1])
         assert payload["event"] == "lease.revoked"
-        assert payload["shard"] == 2
+        assert payload["attempt"] == 2
         assert payload["level"] == "INFO"
 
     def test_level_filtering(self, monkeypatch, capsys):
