@@ -13,11 +13,17 @@ store write.
 Failure model
 -------------
 
-Workers prove liveness through traffic: results and background heartbeats
-both refresh a lease.  A lease that goes silent for ``lease_timeout_s`` —
-or whose connection drops, or whose worker sends a malformed ``result`` or
-a frame type the coordinator does not accept — is revoked and its cell
-re-queued for the next free worker.  A cell whose ``max_leases`` leases
+The coordinator is one thread: a ``selectors`` loop waits on the listener
+and on every worker socket, and after every wake-up, busy or idle, checks
+lease deadlines, dead workers it started and starvation.  Workers prove
+liveness through traffic: results and background heartbeats both refresh
+a lease.  A lease that goes silent for ``lease_timeout_s`` is revoked
+within one tick, however busy the other workers are.  A worker whose
+connection drops or tears mid-frame, or that sends an undecodable frame,
+a malformed ``result`` or a frame type the coordinator does not accept,
+is dropped the same way (:meth:`Coordinator._revoke`): nothing more is
+read from it, a worker this coordinator started is killed, and its cell
+is re-queued for the next free worker.  A cell whose ``max_leases`` leases
 were all revoked becomes a failed record, so a cell that kills its worker
 fails alone and cannot wedge the campaign.  Workers the coordinator
 started itself are replaced (within a budget) when they die with work
@@ -35,12 +41,11 @@ from __future__ import annotations
 
 import os
 import pathlib
-import queue
+import selectors
 import signal
 import socket
 import subprocess
 import sys
-import threading
 import time
 import traceback
 from collections import deque
@@ -205,7 +210,6 @@ class Coordinator:
         self.options = options
         self.progress = progress
         self.force = force
-        self._events: "queue.Queue[Tuple[str, _WorkerHandle, Optional[Dict]]]" = queue.Queue()
         self._handles: Dict[int, _WorkerHandle] = {}
         #: Cells waiting for a worker, each with its count of leases so far.
         self._pending: Deque[Tuple[RunSpec, int]] = deque()
@@ -217,11 +221,10 @@ class Coordinator:
         self._reaped: Set[int] = set()
         self._respawn_budget = options.workers * max(1, options.max_leases - 1)
         self._listener = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._readers: List[threading.Thread] = []
+        #: Waits on the listener (data ``None``) and every worker socket.
+        self._selector = selectors.DefaultSelector()
         #: The coordinator's end of every socketpair of a forked worker.
         self._pair_ends: List[socket.socket] = []
-        self._stopping = threading.Event()
         self._log = get_logger("campaign.dist.coordinator")
         # Session telemetry: per-cell lease->done timelines, heartbeat-gap
         # distribution, revocation count, journal flush cost.
@@ -240,6 +243,8 @@ class Coordinator:
             else:
                 self._listener.bind(("127.0.0.1", 0))
             self._listener.listen(16)
+            self._listener.setblocking(False)
+            self._selector.register(self._listener, selectors.EVENT_READ, None)
 
     @property
     def address(self) -> Optional[Tuple[str, int]]:
@@ -265,7 +270,8 @@ class Coordinator:
                     (spec, 0) for spec in _dispatch_order(self.plan, misses)
                 )
                 self._outstanding = {spec.spec_hash() for spec in misses}
-                self._start_workers(min(self.options.workers, len(misses)))
+                for _ in range(min(self.options.workers, len(misses))):
+                    self._start_worker()
                 self._event_loop()
         finally:
             self._shutdown()
@@ -297,19 +303,13 @@ class Coordinator:
 
     # -- worker plumbing -------------------------------------------------------
 
-    def _start_workers(self, count: int) -> None:
+    def _start_worker(self) -> None:
         if self._listener is None:
-            # The whole fleet forks before any reader thread starts, so
-            # each child is a copy of a single-threaded process.
-            for handle in [self._fork_worker() for _ in range(count)]:
-                self._register(handle)
-            return
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
-        for _ in range(count):
+            self._fork_worker()
+        else:
             self._spawn_worker()
 
-    def _fork_worker(self) -> _WorkerHandle:
+    def _fork_worker(self) -> None:
         ours, theirs = socket.socketpair()
         self._pair_ends.append(ours)
         # Unflushed output would otherwise be written twice, once by each
@@ -334,7 +334,7 @@ class Coordinator:
         proc = _ForkedProcess(pid)
         self._spawned.append(proc)
         log_event(self._log, "worker.forked", pid=pid)
-        return _WorkerHandle(Channel.over_socket(ours, name=f"pid-{pid}"), proc=proc)
+        self._register(_WorkerHandle(Channel(ours, name=f"pid-{pid}"), proc=proc))
 
     def _worker_command(self) -> List[str]:
         host, port = self.address
@@ -366,7 +366,7 @@ class Coordinator:
         # Workers inherit stderr: they log there by design, and swallowing
         # it would make a worker-death loop undiagnosable — the spawned
         # fleet runs --quiet, so only real failures (tracebacks, import
-        # errors) surface.  They register through the accept loop.
+        # errors) surface.  They register once their connection is accepted.
         proc = subprocess.Popen(
             self._worker_command(),
             stdin=subprocess.DEVNULL,
@@ -380,54 +380,45 @@ class Coordinator:
 
     def _register(self, handle: _WorkerHandle) -> None:
         self._handles[handle.handle_id] = handle
-        reader = threading.Thread(target=self._reader_loop, args=(handle,), daemon=True)
-        self._readers.append(reader)
-        reader.start()
+        self._selector.register(handle.channel.sock, selectors.EVENT_READ, handle)
 
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                conn, peer = self._listener.accept()
-            except OSError:
-                return  # listener closed during shutdown
-            try:
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            except OSError:
-                pass
-            channel = Channel.over_socket(conn, name=f"{peer[0]}:{peer[1]}")
-            handle = _WorkerHandle(channel)
-            self._events.put(("accepted", handle, None))
-
-    def _reader_loop(self, handle: _WorkerHandle) -> None:
-        while True:
-            try:
-                message = handle.channel.recv()
-            except (ProtocolError, OSError, ValueError):
-                message = None
-            if message is None:
-                self._events.put(("closed", handle, None))
-                return
-            self._events.put(("message", handle, message))
+    def _accept(self) -> None:
+        try:
+            conn, peer = self._listener.accept()
+        except OSError:
+            return  # e.g. the peer reset before accept; keep serving the rest
+        try:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError:
+            pass
+        self._register(_WorkerHandle(Channel(conn, name=f"{peer[0]}:{peer[1]}")))
 
     # -- main loop -------------------------------------------------------------
 
     def _event_loop(self) -> None:
         tick = min(1.0, self.options.heartbeat_s)
         while self._outstanding:
-            try:
-                kind, handle, message = self._events.get(timeout=tick)
-            except queue.Empty:
-                self._check_leases()
-                self._reap_spawned()
-                self._check_starvation()
-                continue
-            if kind == "accepted":
-                self._register(handle)
-            elif kind == "closed":
-                self._on_closed(handle)
-            elif kind == "message":
-                self._on_message(handle, message)
+            for key, _ in self._selector.select(timeout=tick):
+                if key.data is None:
+                    self._accept()
+                else:
+                    self._read(key.data)
+            self._check_leases()
             self._reap_spawned()
+            self._check_starvation()
+
+    def _read(self, handle: _WorkerHandle) -> None:
+        try:
+            messages = handle.channel.read_frames()
+        except (ProtocolError, OSError):
+            messages = None
+        if messages is None:  # end-of-stream, a torn or undecodable frame
+            self._revoke(handle)
+            return
+        for message in messages:
+            if handle.handle_id not in self._handles:
+                return  # dropped for an earlier frame of this read
+            self._on_message(handle, message)
 
     def _on_message(self, handle: _WorkerHandle, message: Dict) -> None:
         if handle.lease is not None:
@@ -545,28 +536,19 @@ class Coordinator:
                     "probes": self._probes_on,
                 }
             )
-        except (OSError, ValueError):
-            # The worker died between accept and lease; the reader loop will
-            # deliver "closed", which re-queues via _on_closed.
+        except OSError:
+            # The worker is gone: its socket reads end-of-stream next, and
+            # _revoke re-queues the cell.
             pass
-
-    def _on_closed(self, handle: _WorkerHandle) -> None:
-        self._handles.pop(handle.handle_id, None)
-        handle.channel.close()
-        lease, handle.lease = handle.lease, None
-        if lease is not None:
-            self._requeue(lease)
-        for idle in list(self._handles.values()):
-            self._assign_work(idle)
 
     def _reap_spawned(self) -> None:
         """Start replacements for started workers that died with work left.
 
         Covers every way of starting one uniformly: a dead forked child
         *and* a dead spawned one (whose handle carries no process reference
-        — it registered through the accept loop) show up here as an exited
-        process.  Each death spends one unit of the respawn budget, which
-        bounds the blast radius of a cell that reliably kills its worker.
+        — it registered on accept) show up here as an exited process.  Each
+        death spends one unit of the respawn budget, which bounds the blast
+        radius of a cell that reliably kills its worker.
         """
         if not self._outstanding:
             return
@@ -578,12 +560,7 @@ class Coordinator:
                 self._respawn_budget -= 1
                 log_event(self._log, "worker.respawned", level=logging.WARNING,
                           dead_pid=proc.pid, budget_left=self._respawn_budget)
-                if self._listener is None:
-                    # Unlike the first fleet, this forks while reader
-                    # threads run; the child touches none of their state.
-                    self._register(self._fork_worker())
-                else:
-                    self._spawn_worker()
+                self._start_worker()
 
     def _check_leases(self) -> None:
         now = time.monotonic()
@@ -595,27 +572,34 @@ class Coordinator:
                 self._revoke(handle, "lease.revoked",
                              silent_s=round(now - lease.last_seen, 3))
 
-    def _revoke(self, handle: _WorkerHandle, event: str, **fields) -> None:
-        """Drop a silent or protocol-violating worker and revoke its lease.
+    def _revoke(
+        self, handle: _WorkerHandle, event: Optional[str] = None, **fields
+    ) -> None:
+        """Drop a worker: close its socket, kill it if started here, re-queue its cell.
 
-        Closing the channel pops the reader loop, which funnels into
-        :meth:`_on_closed` for the re-queue of the lease's cell.
-        Frames it queued before that are still handled, so the handle stops
-        being ready: no new lease goes to a closed channel.  A worker this
-        coordinator started is killed too.
+        ``event`` names why a live worker is dropped (``lease.revoked``,
+        ``worker.bad_frame``); it is logged and its lease counted as
+        revoked.  A connection that ended or broke passes none.  Nothing
+        from the worker is read after this.
         """
-        handle.ready = False
-        lease = handle.lease
-        if lease is not None:
-            self._revocations += 1
-            if lease.timeline is not None:
-                lease.timeline["revoked"] = True
-        log_event(self._log, event, level=logging.WARNING,
-                  cell=lease.spec_hash if lease is not None else None,
-                  worker=handle.name, **fields)
+        self._handles.pop(handle.handle_id, None)
+        self._selector.unregister(handle.channel.sock)
+        handle.channel.close()
+        lease, handle.lease = handle.lease, None
+        if event is not None:
+            if lease is not None:
+                self._revocations += 1
+                if lease.timeline is not None:
+                    lease.timeline["revoked"] = True
+            log_event(self._log, event, level=logging.WARNING,
+                      cell=lease.spec_hash if lease is not None else None,
+                      worker=handle.name, **fields)
         if handle.proc is not None and handle.proc.poll() is None:
             handle.proc.kill()
-        handle.channel.close()
+        if lease is not None:
+            self._requeue(lease)
+        for idle in list(self._handles.values()):
+            self._assign_work(idle)
 
     def _check_starvation(self) -> None:
         """Abandon work that can never run: no workers and no way to get any.
@@ -626,12 +610,16 @@ class Coordinator:
         run that asked for its own spawned fleet does not get that grace —
         once the fleet is gone and the respawn budget is spent, waiting for
         a hypothetical external worker would wedge the campaign forever,
-        which is exactly what the abandon path exists to prevent.
+        which is exactly what the abandon path exists to prevent.  A worker
+        started here that still runs may yet connect (the loop checks this
+        right after spending the last of the budget on a replacement).
         """
         if not self._pending or self._handles:
             return
         if self._respawn_budget > 0 and self.options.workers > 0:
             return  # a replacement spawn is still possible
+        if any(proc.poll() is None for proc in self._spawned):
+            return  # a started worker has not connected yet
         if self.options.transport == "socket" and self.options.workers == 0:
             return  # listen-only mode: external workers may still attach
         for spec, _ in self._pending:
@@ -664,21 +652,13 @@ class Coordinator:
     # -- teardown --------------------------------------------------------------
 
     def _shutdown(self) -> None:
-        self._stopping.set()
         for handle in list(self._handles.values()):
             try:
                 handle.channel.send({"type": "shutdown"})
-            except (OSError, ValueError):
-                pass
-        if self._listener is not None:
-            try:
-                # Wakes the accept loop; close() alone may not.
-                self._listener.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+        if self._listener is not None:
             self._listener.close()
-            if self._accept_thread is not None:
-                self._accept_thread.join(timeout=5.0)
         deadline = time.monotonic() + 5.0
         for proc in self._spawned:
             while proc.poll() is None and time.monotonic() < deadline:
@@ -689,11 +669,7 @@ class Coordinator:
         for handle in list(self._handles.values()):
             handle.channel.close()
         self._handles.clear()
-        # Closed channels end their reader loops; joining them means a
-        # later run in this process forks its fleet from a single thread.
-        for reader in self._readers:
-            reader.join(timeout=5.0)
-        self._readers.clear()
+        self._selector.close()
         if self.store is not None:
             flush_t0 = time.perf_counter()
             self.store.flush_journal()

@@ -1,13 +1,15 @@
 """Wire protocol of the distributed executor: length-prefixed JSON frames.
 
 A frame is a 4-byte big-endian unsigned length followed by that many bytes
-of UTF-8 JSON encoding one message object.  The framing is transport
-agnostic — the same :class:`Channel` runs over a TCP connection
-(cross-host workers) or over one end of a ``socketpair`` shared with a
-forked child (the ``local`` transport) — and deliberately boring: every
-message is a flat dict with a ``"type"`` key, so the protocol can be
-watched with ``tcpdump``/``strace`` and extended without versioned binary
-schemas.
+of UTF-8 JSON encoding one message object.  A :class:`Channel` carries
+frames over one connected socket: a TCP connection (cross-host workers)
+or one end of a ``socketpair`` shared with a forked child (the ``local``
+transport).  Its one frame decoder serves both a worker's blocking
+:meth:`Channel.recv` and the coordinator's selector loop, which reads a
+socket only when it is readable (:meth:`Channel.read_frames`).  The
+framing is deliberately boring: every message is a flat dict with a
+``"type"`` key, so the protocol can be watched with ``tcpdump``/``strace``
+and extended without versioned binary schemas.
 
 Message vocabulary (all coordinator/worker traffic):
 
@@ -48,7 +50,7 @@ import json
 import socket
 import struct
 import threading
-from typing import BinaryIO, Dict, Optional
+from typing import Dict, List, Optional
 
 #: Frame header: 4-byte big-endian payload length.
 _HEADER = struct.Struct(">I")
@@ -57,6 +59,9 @@ _HEADER = struct.Struct(">I")
 #: the receiver allocate gigabytes.  Result payloads are JSON metric dicts;
 #: 64 MiB is orders of magnitude above any real campaign cell.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: Bytes asked of one ``recv`` call.
+_READ_BYTES = 64 * 1024
 
 
 class ProtocolError(RuntimeError):
@@ -72,51 +77,72 @@ def encode_frame(message: Dict) -> bytes:
 
 
 class Channel:
-    """A duplex message channel over a pair of binary streams.
+    """A duplex message channel over one connected socket.
 
     ``send`` is thread-safe (the worker's heartbeat thread and its result
-    stream share one channel); ``recv`` is meant for a single reader.  A
-    clean end-of-stream returns ``None`` from :meth:`recv`; a stream that
-    dies mid-frame (SIGKILLed peer) raises :class:`ProtocolError`, which
-    callers treat exactly like a disconnect.
+    stream share one channel).  Received bytes collect in one buffer that
+    a single reader drains, either blocking in :meth:`recv` or taking what
+    one read completed with :meth:`read_frames`.  A clean end-of-stream
+    returns ``None``; a stream that dies mid-frame (SIGKILLed peer) raises
+    :class:`ProtocolError`, which callers treat exactly like a disconnect.
     """
 
-    def __init__(
-        self, reader: BinaryIO, writer: BinaryIO, name: str = "peer", sock=None
-    ) -> None:
-        self._reader = reader
-        self._writer = writer
-        self._send_lock = threading.Lock()
-        self._closed = False
-        self.name = name
-        #: The connected socket under the streams, if any (see :meth:`close`).
+    def __init__(self, sock: socket.socket, name: str = "peer") -> None:
         self.sock = sock
-
-    @staticmethod
-    def over_socket(sock, name: str = "peer") -> "Channel":
-        """A channel over a connected socket (one makefile per side)."""
-        return Channel(
-            sock.makefile("rb"), sock.makefile("wb", buffering=0), name=name, sock=sock
-        )
+        self.name = name
+        self._buffer = bytearray()
+        self._send_lock = threading.Lock()
 
     def send(self, message: Dict) -> None:
-        """Send one message; raises ``OSError``/``ValueError`` on a dead peer."""
+        """Send one message; raises ``OSError`` on a dead peer."""
         frame = encode_frame(message)
         with self._send_lock:
-            self._writer.write(frame)
-            self._writer.flush()
+            self.sock.sendall(frame)
 
     def recv(self) -> Optional[Dict]:
-        """Receive the next message, or ``None`` on clean end-of-stream."""
-        header = self._read_exact(_HEADER.size, allow_eof=True)
-        if header is None:
+        """Block for the next message, or ``None`` on clean end-of-stream."""
+        message = self._next_message()
+        while message is None and self._fill():
+            message = self._next_message()
+        return message
+
+    def read_frames(self) -> Optional[List[Dict]]:
+        """The messages one read completed (maybe none); ``None`` at end-of-stream.
+
+        The coordinator calls this only when its selector reports the
+        socket readable, so the one ``recv`` never blocks.
+        """
+        if not self._fill():
             return None
-        (length,) = _HEADER.unpack(header)
+        return list(iter(self._next_message, None))
+
+    def _fill(self) -> bool:
+        """Append one read to the buffer; ``False`` at a clean end-of-stream."""
+        chunk = self.sock.recv(_READ_BYTES)
+        if chunk:
+            self._buffer += chunk
+            return True
+        if self._buffer:
+            raise ProtocolError(
+                f"stream from {self.name} ended mid-frame "
+                f"({len(self._buffer)} bytes of an unfinished frame)"
+            )
+        return False
+
+    def _next_message(self) -> Optional[Dict]:
+        """Decode the first whole frame off the buffer, or ``None`` if none is."""
+        if len(self._buffer) < _HEADER.size:
+            return None
+        (length,) = _HEADER.unpack_from(self._buffer)
         if length > MAX_FRAME_BYTES:
             raise ProtocolError(
                 f"frame length {length} exceeds {MAX_FRAME_BYTES} — corrupt stream?"
             )
-        body = self._read_exact(length, allow_eof=False)
+        end = _HEADER.size + length
+        if len(self._buffer) < end:
+            return None
+        body = self._buffer[_HEADER.size:end]
+        del self._buffer[:end]
         try:
             message = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -125,40 +151,14 @@ class Channel:
             raise ProtocolError(f"message without a type: {message!r}")
         return message
 
-    def _read_exact(self, count: int, allow_eof: bool) -> Optional[bytes]:
-        chunks = []
-        remaining = count
-        while remaining:
-            chunk = self._reader.read(remaining)
-            if not chunk:
-                if allow_eof and remaining == count:
-                    return None
-                raise ProtocolError(
-                    f"stream from {self.name} ended mid-frame "
-                    f"({count - remaining}/{count} bytes)"
-                )
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
-
     def close(self) -> None:
-        """Close both streams (idempotent, swallows errors on dead pipes).
+        """Shut the socket down, then close it (idempotent, swallows errors).
 
-        A socket is shut down first, waking a reader blocked in :meth:`recv`
-        on a silent peer; closing its stream would wait on that reader.
+        Shutting down first ends the stream for the peer even while a
+        forked child still holds a copy of this descriptor.
         """
-        if self._closed:
-            return
-        self._closed = True
-        if self.sock is not None:
-            try:
-                self.sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass  # already disconnected
-        for stream in (self._writer, self._reader, self.sock):
-            if stream is None:
-                continue
-            try:
-                stream.close()
-            except OSError:
-                pass
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already disconnected
+        self.sock.close()

@@ -139,7 +139,7 @@ def serve_socket(
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     except OSError:
         pass  # not fatal; some stacks refuse the option
-    channel = Channel.over_socket(sock, name=f"coordinator@{host}:{port}")
+    channel = Channel(sock, name=f"coordinator@{host}:{port}")
     try:
         return serve_channel(channel, name=name, heartbeat_s=heartbeat_s, log=log)
     finally:
@@ -154,14 +154,15 @@ def serve_forked(
     """Serve the coordinator this process was forked from; returns an exit code.
 
     ``sock`` is the child's end of a ``socketpair``; ``inherited`` are the
-    coordinator-side sockets the fork copied.  They are closed by fd: via
-    their :class:`Channel` could wait forever on a lock a coordinator reader
-    thread held at fork time, and ``shutdown()`` would cut the coordinator's
-    connection too.  Stray prints go to fd 2 (``os.dup2(2, 1)``:
-    ``sys.stderr`` may have no file descriptor under a test harness).  The
-    caller must leave by ``os._exit``: interpreter exit would run the
-    coordinator's ``atexit``/``weakref.finalize`` hooks, deleting its
-    temporary directories.
+    coordinator-side sockets the fork copied.  They are closed by fd, never
+    through their :class:`Channel`, whose ``shutdown()`` would cut the
+    coordinator's connection too; a copy left open here would hide
+    end-of-stream from a sibling worker if the coordinator died.  Stray
+    prints go to fd 2 (``os.dup2(2, 1)``: ``sys.stderr`` may have no file
+    descriptor under a test harness).  The caller must leave by
+    ``os._exit``: interpreter exit would run the coordinator's
+    ``atexit``/``weakref.finalize`` hooks, deleting its temporary
+    directories.
     """
     for inherited_sock in inherited:
         fd = inherited_sock.detach()
@@ -169,7 +170,7 @@ def serve_forked(
             os.close(fd)
     os.dup2(2, 1)
     sys.stdout = sys.stderr
-    channel = Channel.over_socket(sock, name="coordinator@fork")
+    channel = Channel(sock, name="coordinator@fork")
     try:
         serve_channel(channel, heartbeat_s=heartbeat_s, log=lambda text: None)
     except (ProtocolError, OSError, ValueError):

@@ -371,9 +371,9 @@ def _worker_main(args, parser) -> int:
             host, port, name=args.name, heartbeat_s=args.heartbeat, log=log
         )
     except (ProtocolError, ConnectionError, OSError, ValueError) as exc:
-        # A coordinator killed mid-frame (ProtocolError) or a dead peer on
-        # send (ValueError from a closed stream) is the same event as a
-        # refused connection: the coordinator is gone.
+        # A coordinator killed mid-frame (ProtocolError) or gone when this
+        # worker sends (OSError) is the same event as a refused connection:
+        # the coordinator is gone.
         import logging
 
         from repro.telemetry.log import get_logger, log_event

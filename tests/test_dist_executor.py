@@ -11,7 +11,6 @@ scenarios live in a generated module on ``sys.path`` handed to workers via
 from __future__ import annotations
 
 import contextlib
-import io
 import json
 import os
 import signal
@@ -226,17 +225,24 @@ def _serve_with_external_worker(coordinator, env):
 # -- protocol -----------------------------------------------------------------------
 
 class _Loopback:
-    """Two channels joined by OS pipes (no sockets needed)."""
+    """Two channels joined by a socketpair."""
 
     def __init__(self):
-        r1, w1 = os.pipe()  # left -> right
-        r2, w2 = os.pipe()  # right -> left
-        self.left = Channel(os.fdopen(r2, "rb"), os.fdopen(w1, "wb"), name="left")
-        self.right = Channel(os.fdopen(r1, "rb"), os.fdopen(w2, "wb"), name="right")
+        left, right = socket.socketpair()
+        self.left = Channel(left, name="left")
+        self.right = Channel(right, name="right")
 
     def close(self):
         self.left.close()
         self.right.close()
+
+
+def _channel_reading(data):
+    """A channel whose peer sent ``data`` (small enough to buffer) and closed."""
+    ours, theirs = socket.socketpair()
+    theirs.sendall(data)
+    theirs.close()
+    return Channel(ours)
 
 
 class TestProtocol:
@@ -260,20 +266,39 @@ class TestProtocol:
 
     def test_torn_frame_raises(self):
         frame = encode_frame({"type": "result"})
-        channel = Channel(io.BytesIO(frame[: len(frame) - 2]), io.BytesIO())
+        channel = _channel_reading(frame[: len(frame) - 2])
         with pytest.raises(ProtocolError, match="mid-frame"):
             channel.recv()
+        channel.close()
 
     def test_oversized_length_rejected(self):
         bogus = (MAX_FRAME_BYTES + 1).to_bytes(4, "big")
-        channel = Channel(io.BytesIO(bogus), io.BytesIO())
+        channel = _channel_reading(bogus)
         with pytest.raises(ProtocolError, match="exceeds"):
             channel.recv()
+        channel.close()
 
     def test_message_without_type_rejected(self):
-        channel = Channel(io.BytesIO(encode_frame({"spec": {}})), io.BytesIO())
+        channel = _channel_reading(encode_frame({"spec": {}}))
         with pytest.raises(ProtocolError, match="without a type"):
             channel.recv()
+        channel.close()
+
+    def test_read_frames_returns_the_frames_one_read_completed(self):
+        """The coordinator's read: whole frames only; a split one waits."""
+        hello = encode_frame({"type": "hello"})
+        beat = encode_frame({"type": "heartbeat"})
+        ours, theirs = socket.socketpair()
+        channel = Channel(ours)
+        try:
+            theirs.sendall(hello + beat[:3])
+            assert channel.read_frames() == [{"type": "hello"}]
+            theirs.sendall(beat[3:] + hello)
+            assert channel.read_frames() == [{"type": "heartbeat"}, {"type": "hello"}]
+            theirs.close()
+            assert channel.read_frames() is None
+        finally:
+            channel.close()
 
     def test_spec_wire_roundtrip(self):
         spec = RunSpec.make(
@@ -467,9 +492,10 @@ class TestLocalTransport:
         assert result.failed == 0, [r.error for r in result.records if r.error]
         assert result.executed == 4
 
-    def test_cell_that_kills_its_worker_fails_alone(self, tmp_path):
+    def test_cell_that_kills_its_worker_fails_alone(self, tmp_path, monkeypatch):
         """Every lease of cell 0 kills its worker; after max_leases deaths
-        cell 0 fails, and no other cell is abandoned with it."""
+        cell 0 fails, and no other cell is abandoned with it.  Every fork,
+        the replacements' too, copies a process running no extra thread."""
         try:
             register(
                 Scenario(
@@ -483,10 +509,21 @@ class TestLocalTransport:
             pass  # already registered by an earlier run in this process
         plan = plan_campaign(["_dist-killer"])
         store = ArtifactStore(tmp_path / "dist")
+        threads_at_fork = []
+        fork = os.fork
+
+        def counting_fork():
+            threads_at_fork.append(threading.active_count())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        threads_before = threading.active_count()
         result = run_distributed(plan, store=store, options=_local_options())
         failed = {r.spec.params_dict["i"] for r in result.records if not r.ok}
         assert failed == {0}, [r.error for r in result.records if r.error]
         assert result.executed == 11
+        assert len(threads_at_fork) > 2, "no replacement worker was forked"
+        assert threads_at_fork == [threads_before] * len(threads_at_fork)
         survivors = CampaignPlan(name="survivors", specs=plan.specs[1:])
         serial_store = _plain_store(survivors, tmp_path / "serial")
         for spec in survivors:
@@ -670,8 +707,7 @@ class TestSocketTransport:
     ):
         """Crash-resume acceptance: kill a worker mid-cell; the coordinator
         re-leases its cell and the final store is hash-for-hash identical
-        to a single-process run.  On ``local`` the replacement forks while
-        the coordinator's reader threads run."""
+        to a single-process run."""
         plan = _sleepy_plan(cells=6, sleep_s=0.3)
         store = ArtifactStore(tmp_path / "crash")
         first_result = threading.Event()
@@ -712,19 +748,28 @@ class TestSocketTransport:
         assert set(store.index()) == set(serial_store.index())
 
 
-    def test_silent_worker_is_revoked_and_its_shard_re_leased(
+    def test_silent_worker_is_revoked_and_its_cell_re_leased(
         self, tmp_path, monkeypatch
     ):
         """A connected worker that takes a lease and goes silent is revoked
-        and its cell re-leased to a live worker; revoking must not wait on
-        the silent connection's reader thread."""
+        on time, while a live worker keeps the coordinator busy, and its
+        cell is re-leased to the live worker."""
         from repro.campaign.dist.worker import serve_socket
 
         # The live worker applies each lease's switches to this process,
         # writing the environment; monkeypatch restores it.
         monkeypatch.setenv("REPRO_TELEMETRY", "0")
         monkeypatch.setenv("REPRO_PROBES", "0")
-        plan = _sleepy_plan(cells=4)
+        outstanding_at_revoke = []
+        revoke = Coordinator._revoke
+
+        def spying_revoke(self, handle, *args, **kwargs):
+            if handle.name == "silent":
+                outstanding_at_revoke.append(len(self._outstanding))
+            return revoke(self, handle, *args, **kwargs)
+
+        monkeypatch.setattr(Coordinator, "_revoke", spying_revoke)
+        plan = _sleepy_plan(cells=30, sleep_s=0.1)
         coordinator = Coordinator(
             plan,
             store=ArtifactStore(tmp_path / "revoked"),
@@ -736,7 +781,7 @@ class TestSocketTransport:
             target=lambda: outcome.update(result=coordinator.run()), daemon=True
         )
         runner.start()
-        silent = Channel.over_socket(
+        silent = Channel(
             socket.create_connection(coordinator.address, timeout=30), name="silent"
         )
         live = None
@@ -763,8 +808,12 @@ class TestSocketTransport:
             disable_probes()
         assert not live.is_alive(), "the live worker never saw the shutdown"
         result = outcome["result"]
-        assert result.failed == 0 and result.executed == 4
+        assert result.failed == 0 and result.executed == 30
         assert coordinator._revocations == 1
+        # Revoked about 1 s after the grant, 3 s before the live worker
+        # could finish the other cells alone.
+        assert len(outstanding_at_revoke) == 1
+        assert outstanding_at_revoke[0] >= 10, outstanding_at_revoke
 
     @pytest.mark.parametrize(
         "bad_frame",
@@ -782,7 +831,7 @@ class TestSocketTransport:
         ids=["result-without-spec", "result-without-outcome", "unknown-type",
              "shard-done"],
     )
-    def test_bad_frame_drops_the_worker_and_re_leases_its_shard(
+    def test_bad_frame_drops_the_worker_and_re_leases_its_cell(
         self, tmp_path, monkeypatch, bad_frame
     ):
         """A worker that breaks the protocol is dropped at once, its cell
@@ -804,7 +853,7 @@ class TestSocketTransport:
             target=lambda: outcome.update(result=coordinator.run()), daemon=True
         )
         runner.start()
-        rogue = Channel.over_socket(
+        rogue = Channel(
             socket.create_connection(coordinator.address, timeout=10), name="rogue"
         )
         live = None
@@ -865,6 +914,31 @@ class TestLeaseBookkeeping:
         failed, untouched = coordinator._records
         assert "abandoned after 2 revoked lease(s)" in failed.error
         assert untouched is None
+
+    def test_pending_cells_wait_for_a_started_worker_to_connect(self):
+        """With the respawn budget spent and no worker connected, pending
+        cells wait while a started worker still runs, then fail."""
+        plan = _sleepy_plan(cells=1)
+        coordinator = Coordinator(plan, options=_options(workers=1))
+        spec = plan.specs[0]
+        coordinator._outstanding = {spec.spec_hash()}
+        coordinator._pending.append((spec, 0))
+        coordinator._respawn_budget = 0
+
+        class _StartedWorker:
+            returncode = None
+
+            def poll(self):
+                return self.returncode
+
+        started = _StartedWorker()
+        coordinator._spawned.append(started)
+        coordinator._check_starvation()
+        assert coordinator._pending, "abandoned before the worker could connect"
+        started.returncode = 1
+        coordinator._check_starvation()
+        assert not coordinator._pending
+        assert "no workers left" in coordinator._records[0].error
 
     def test_duplicate_results_are_ignored(self, tmp_path):
         plan = _sleepy_plan(cells=1)

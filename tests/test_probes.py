@@ -9,11 +9,12 @@ analytics built on the sidecars.
 
 from __future__ import annotations
 
-import io
 import json
 import os
+import socket
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -287,10 +288,18 @@ class TestDecisionAudit:
 
 class TestWire:
     def _roundtrip(self, message):
-        buffer = io.BytesIO()
-        Channel(io.BytesIO(), buffer).send(message)
-        buffer.seek(0)
-        return Channel(buffer, io.BytesIO()).recv()
+        # A result frame can outgrow the socket buffer, so it is sent from
+        # a thread while this one receives.
+        ours, theirs = socket.socketpair()
+        receiver, sender = Channel(ours), Channel(theirs)
+        thread = threading.Thread(target=sender.send, args=(message,))
+        thread.start()
+        try:
+            return receiver.recv()
+        finally:
+            thread.join(timeout=10)
+            sender.close()
+            receiver.close()
 
     def test_result_frame_with_probes(self, audit_all):
         spec = _spec("flit")

@@ -9,12 +9,13 @@ round-trips that tolerate pre-telemetry index entries.
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import logging
 import os
+import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -395,10 +396,18 @@ class TestStoreRoundTrip:
 
 class TestWire:
     def _roundtrip(self, message):
-        buffer = io.BytesIO()
-        Channel(io.BytesIO(), buffer).send(message)
-        buffer.seek(0)
-        return Channel(buffer, io.BytesIO()).recv()
+        # A result frame can outgrow the socket buffer, so it is sent from
+        # a thread while this one receives.
+        ours, theirs = socket.socketpair()
+        receiver, sender = Channel(ours), Channel(theirs)
+        thread = threading.Thread(target=sender.send, args=(message,))
+        thread.start()
+        try:
+            return receiver.recv()
+        finally:
+            thread.join(timeout=10)
+            sender.close()
+            receiver.close()
 
     def test_result_frame_with_telemetry(self):
         enable()
