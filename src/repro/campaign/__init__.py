@@ -16,7 +16,6 @@ killed campaigns resumable from the store.
 """
 
 from repro.campaign.plan import (
-    AUTO_BACKEND,
     CampaignPlan,
     RunSpec,
     plan_campaign,
@@ -30,15 +29,6 @@ from repro.campaign.registry import (
     scenario,
     scenario_names,
 )
-from repro.campaign.router import (
-    BackendRouter,
-    BudgetError,
-    CellCost,
-    CostHistory,
-    estimate_cell,
-    profile_for,
-    select_audit_pairs,
-)
 from repro.campaign.executor import (
     AuditRecord,
     CampaignResult,
@@ -48,6 +38,7 @@ from repro.campaign.executor import (
     metric_deltas,
     run_audits,
     run_cell,
+    select_audit_pairs,
 )
 from repro.campaign.store import ArtifactStore
 from repro.campaign.dist import (
@@ -57,28 +48,21 @@ from repro.campaign.dist import (
 )
 
 __all__ = [
-    "AUTO_BACKEND",
     "ArtifactStore",
     "AuditRecord",
-    "BackendRouter",
-    "BudgetError",
     "CampaignPlan",
     "CampaignResult",
-    "CellCost",
     "Coordinator",
-    "CostHistory",
     "DistOptions",
     "RunRecord",
     "RunSpec",
     "Scenario",
     "ensure_builtin_scenarios",
-    "estimate_cell",
     "execute_plan",
     "execute_spec",
     "get_scenario",
     "metric_deltas",
     "plan_campaign",
-    "profile_for",
     "register",
     "register_figure",
     "run_audits",

@@ -12,12 +12,12 @@ than one worker), on one host or across hosts:
   it with the executor's single-cell runner, send its result back,
   heartbeat while busy;
 * :mod:`repro.campaign.dist.coordinator` — forks or spawns the workers,
-  leases cells one at a time (heaviest estimated cell first), merges each
-  result into the artifact store as it arrives (journaled, atomic index
-  updates, deduped by spec hash) and re-leases the cell of a worker whose
-  heartbeats stop, so a SIGKILLed worker costs only its in-flight cell, a
-  cell that keeps killing its worker fails alone, and a killed campaign
-  resumes from whatever the store already holds.
+  leases cells one at a time in plan order, merges each result into the
+  artifact store as it arrives (journaled, atomic index updates, deduped
+  by spec hash) and re-leases the cell of a worker whose heartbeats stop,
+  so a SIGKILLed worker costs only its in-flight cell, a cell that keeps
+  killing its worker fails alone, and a killed campaign resumes from
+  whatever the store already holds.
 """
 
 from repro.campaign.dist.coordinator import Coordinator, DistOptions, run_distributed

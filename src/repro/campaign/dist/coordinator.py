@@ -2,13 +2,12 @@
 
 The coordinator owns the campaign: it resolves cache hits against the
 artifact store (so a killed campaign resumes from whatever the store
-already holds), queues the misses heaviest estimated cell first
-(:func:`_dispatch_order`), leases them one cell at a time to workers over
-the wire protocol and merges every result into the store the moment it
-arrives — journaled, atomically indexed and deduped by spec hash, so two
-deliveries of the same cell can never double-write.  A worker's next
-lease goes out before its last result is saved, so no worker waits on a
-store write.
+already holds), queues the misses in plan order, leases them one cell at a
+time to workers over the wire protocol and merges every result into the
+store the moment it arrives — journaled, atomically indexed and deduped
+by spec hash, so two deliveries of the same cell can never double-write.
+A worker's next lease goes out before its last result is saved, so no
+worker waits on a store write.
 
 Failure model
 -------------
@@ -50,7 +49,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Deque, Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.campaign.dist.protocol import Channel, ProtocolError
 from repro.campaign.dist.worker import DEFAULT_HEARTBEAT_S, serve_forked
@@ -112,16 +111,6 @@ class DistOptions:
             )
         if self.max_leases < 1:
             raise ValueError("max_leases must be >= 1")
-
-
-def _dispatch_order(plan: CampaignPlan, specs: Sequence[RunSpec]) -> List[RunSpec]:
-    """The order cells are leased in: heaviest estimated work first.
-
-    The sort is stable, so cells of equal work, and every cell of a plan
-    without cost annotations (``plan.costs``), keep their plan order.
-    """
-    work = {cell.spec: cell.work for cell in plan.costs}
-    return sorted(specs, key=lambda spec: -work.get(spec, 0.0))
 
 
 @dataclass
@@ -199,12 +188,6 @@ class Coordinator:
         progress: Optional[ProgressFn] = None,
         force: bool = False,
     ) -> None:
-        for spec in plan:
-            if spec.is_auto:
-                raise ValueError(
-                    f"spec {spec.label()} is unrouted — plan with a "
-                    "BackendRouter before distributing"
-                )
         self.plan = plan
         self.store = store
         self.options = options
@@ -217,6 +200,8 @@ class Coordinator:
         self._index_of = {spec.spec_hash(): i for i, spec in enumerate(plan)}
         self._outstanding: Set[str] = set()
         self._reported = 0
+        #: Worker connections that said hello this run, replacements too.
+        self._hellos = 0
         self._spawned: List[_Process] = []
         self._reaped: Set[int] = set()
         self._respawn_budget = options.workers * max(1, options.max_leases - 1)
@@ -262,21 +247,21 @@ class Coordinator:
 
     def run(self) -> CampaignResult:
         """Execute the plan; returns records in plan order, like the serial loop."""
-        result = CampaignResult(plan=self.plan, workers=self.options.workers)
         misses = self._resolve_cached()
         try:
             if misses:
-                self._pending.extend(
-                    (spec, 0) for spec in _dispatch_order(self.plan, misses)
-                )
+                self._pending.extend((spec, 0) for spec in misses)
                 self._outstanding = {spec.spec_hash() for spec in misses}
                 for _ in range(min(self.options.workers, len(misses))):
                     self._start_worker()
                 self._event_loop()
         finally:
             self._shutdown()
-        result.records = [r for r in self._records if r is not None]
-        return result
+        return CampaignResult(
+            plan=self.plan,
+            records=[r for r in self._records if r is not None],
+            workers=self._hellos,
+        )
 
     # -- cache resolution ------------------------------------------------------
 
@@ -429,6 +414,8 @@ class Coordinator:
             handle.lease.last_seen = time.monotonic()
         kind = message["type"]
         if kind == "hello":
+            if not handle.ready:
+                self._hellos += 1
             handle.ready = True
             handle.name = str(message.get("worker", handle.name))
             self._assign_work(handle)

@@ -12,26 +12,30 @@ wherever it runs.  Records are always returned in plan order regardless
 of which worker finished first.
 
 After the main pass the executor can run **flit audits**: a deterministic,
-seeded sample of the plan's flow-routed cells (``audit_fraction`` > 0,
-sampled by :func:`repro.campaign.router.select_audit_pairs`) is re-run on
-the flit backend and the flow-vs-flit metric deltas are persisted in the
-artifact store — the campaign-level spot-check against the high-fidelity
-simulator.
+seeded sample of a flow campaign's cells (``audit_fraction`` > 0, sampled
+by :func:`select_audit_pairs`) is re-run on the flit backend and the
+flow-vs-flit metric deltas are persisted in the artifact store — the
+campaign-level spot-check against the high-fidelity simulator.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+import random
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-# scale_for moved to the plan module (the planner's cost estimation and the
-# executor must resolve scales identically); re-exported here for back-compat.
-from repro.campaign.plan import CampaignPlan, RunSpec, scale_for  # noqa: F401
-from repro.campaign.registry import ScenarioError, get_scenario
-from repro.campaign.router import select_audit_pairs
+from repro.campaign.plan import FLOW_ONLY_TAG, CampaignPlan, RunSpec, scale_for
+from repro.campaign.registry import ScenarioError, get_scenario, scenario_tags
 from repro.campaign.store import ArtifactStore, max_abs_rel_delta
+from repro.sim.rng import derive_seed
 from repro.telemetry.core import capture, timed
+
+#: ``routed_from`` marker of flit audit twins.  An audit twin is *not* a
+#: plain flit run — it executes in the audited flow cell's RNG universe —
+#: so its hash must never alias an ordinary flit cache entry.
+AUDIT_PROVENANCE = "audit"
 
 
 @dataclass
@@ -63,7 +67,7 @@ class RunRecord:
 class AuditRecord:
     """One flow-vs-flit audit: the audited cell, its twin run, the deltas."""
 
-    #: The flow-routed cell that was audited.
+    #: The flow cell that was audited.
     spec: RunSpec
     #: The concrete flit spec re-run for comparison.
     twin: RunSpec
@@ -88,8 +92,11 @@ class CampaignResult:
 
     plan: CampaignPlan
     records: List[RunRecord] = field(default_factory=list)
+    #: Workers that served the run: 1 for the serial loop; on the
+    #: coordinator, the worker connections that said hello (0 when every
+    #: cell was cached).
     workers: int = 1
-    #: Flit audit re-runs of sampled flow-routed cells (post-pass).
+    #: Flit audit re-runs of sampled flow cells (post-pass).
     audits: List[AuditRecord] = field(default_factory=list)
 
     @property
@@ -206,7 +213,7 @@ def execute_plan(
     even when the store already holds them.
 
     ``audit_fraction > 0`` enables the audit post-pass: a deterministic,
-    seeded sample of the plan's flow-routed cells is re-run on the flit
+    seeded sample of the plan's flow cells is re-run on the flit
     backend (serially — audits are a small high-fidelity sample by design)
     and the flow-vs-flit deltas are recorded in the result and the store.
     """
@@ -266,6 +273,46 @@ def execute_plan(
     if audit_fraction > 0.0:
         run_audits(plan, result, store, audit_fraction, force=force)
     return result
+
+
+def select_audit_pairs(
+    plan: CampaignPlan, fraction: float
+) -> List[Tuple[RunSpec, RunSpec]]:
+    """Deterministic, seeded audit sample: flow cells + their flit twins.
+
+    Eligible cells run on the flow backend and belong to scenarios the
+    flit backend can execute (``flow-only`` scenarios are excluded — there
+    is no twin to audit against).  The sample size is
+    ``ceil(fraction x eligible)``, so any positive fraction audits at
+    least one cell; the draw is seeded from the campaign master seed via
+    :func:`repro.sim.rng.derive_seed`, so the same plan always audits the
+    same cells.  Pairs come back in plan order.
+
+    The flit twin carries ``routed_from="audit"``: :func:`run_audits` runs
+    it in the *flow cell's* RNG universe (same derived run seed, so
+    allocation and noise draws are identical and the recorded deltas
+    isolate model error from seed variance), which means its result is not
+    a faithful plain flit run — the distinct provenance hash keeps it out
+    of the ordinary flit cache.  Audit results are cached by the flow
+    spec's hash instead (:meth:`~repro.campaign.store.ArtifactStore.save_audit`).
+    """
+    if fraction <= 0.0:
+        return []
+    eligible = [
+        spec
+        for spec in plan
+        if spec.backend == "flow"
+        and FLOW_ONLY_TAG not in scenario_tags(spec.scenario)
+    ]
+    if not eligible:
+        return []
+    count = min(len(eligible), math.ceil(fraction * len(eligible)))
+    rng = random.Random(derive_seed(plan.seed, "campaign:audit"))
+    picks = [eligible[i] for i in sorted(rng.sample(range(len(eligible)), count))]
+    return [
+        (spec, replace(spec, backend="flit", routed_from=AUDIT_PROVENANCE))
+        for spec in picks
+    ]
 
 
 def run_audits(

@@ -8,17 +8,12 @@ stable SHA-256 content hash used as the cache key by
 seed, via :func:`repro.sim.rng.derive_seed`, so every grid point draws
 from an independent but reproducible random universe.
 
-Backend routing
----------------
-
-``backend="auto"`` asks the planner to pick the substrate: the cell is
-costed under both backends (:data:`repro.model.cost.COST_MODELS`) and a
-:class:`~repro.campaign.router.BackendRouter` resolves it to a concrete
-backend at plan time, optionally under a total work budget.  An
-unresolved ``auto`` spec has **no** content hash — only concrete,
-executable specs are cacheable — and a routed spec records its provenance
-in ``routed_from``, which enters the canonical form (SPEC_FORMAT 3) so
-auto-routed results are cached separately from explicitly pinned ones.
+A campaign runs on the backend its caller names, one of
+:data:`repro.model.base.BACKENDS`; :func:`plan_campaign` rejects any
+other name.  Only flit audit twins
+(:func:`repro.campaign.executor.select_audit_pairs`) carry a
+``routed_from`` provenance, which enters the canonical form
+(SPEC_FORMAT 3) so an audit result never aliases a plain flit run.
 """
 
 from __future__ import annotations
@@ -26,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.campaign.registry import (
@@ -36,19 +31,19 @@ from repro.campaign.registry import (
     get_scenario,
     scenario_tags,
 )
+from repro.model.base import BACKENDS, BackendError
 from repro.sim.rng import derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.campaign.router import BackendRouter, CellCost
     from repro.experiments.harness import ExperimentScale
 
 #: Bump when the RunSpec -> result contract changes; invalidates caches.
 #: Format 2 added the network-model backend to the canonical form.  Format 3
-#: adds the routing provenance (``routed_from``) for specs the planner
-#: resolved from ``backend="auto"`` — and is emitted *only* for those specs:
-#: a concrete-backend spec keeps the byte-identical format-2 canonical form,
-#: so existing caches stay valid, while an auto-routed spec can never be
-#: served a format-2 (explicitly pinned) result.
+#: adds the provenance (``routed_from``) and is emitted *only* for specs that
+#: carry one — flit audit twins (``"audit"``), and the auto-routed cells of
+#: older stores (``"auto"``): every other spec keeps the byte-identical
+#: format-2 canonical form, so existing caches stay valid, while a spec
+#: with provenance can never be served a format-2 result.
 SPEC_FORMAT = 3
 
 #: Canonical-form version emitted for specs without routing provenance.
@@ -56,9 +51,6 @@ LEGACY_SPEC_FORMAT = 2
 
 #: Default campaign master seed (the paper year, as used by the harness).
 DEFAULT_SEED = 2019
-
-#: Pseudo-backend asking the planner to choose the substrate per cell.
-AUTO_BACKEND = "auto"
 
 #: Scenarios carrying this tag only run on the flow backend (their runners
 #: pin it); the planner records that in the spec so hashes and cache
@@ -75,12 +67,11 @@ class RunSpec:
     params: Tuple[Tuple[str, object], ...] = ()
     scale: str = "smoke"
     seed: int = DEFAULT_SEED
-    #: Network-model backend the run executes on (``flit``, ``flow``, or the
-    #: transient ``auto`` awaiting resolution by a router).
+    #: Network-model backend the run executes on (``flit`` or ``flow``).
     backend: str = "flit"
-    #: Who picked the backend: ``None`` for explicitly pinned specs,
-    #: ``"auto"`` when a :class:`~repro.campaign.router.BackendRouter`
-    #: resolved it.  Enters the canonical form (and therefore the hash).
+    #: Provenance of a spec the caller did not plan: ``"audit"`` for a flit
+    #: audit twin, ``None`` otherwise.  Enters the canonical form (and
+    #: therefore the hash).
     routed_from: Optional[str] = None
 
     @staticmethod
@@ -96,8 +87,7 @@ class RunSpec:
         Scenarios tagged ``flow-only`` (looked up in the registry, tolerant
         of unregistered names) are pinned to ``backend="flow"`` here — their
         runners force that backend, and the spec hash must say so: a flow
-        result must never be cached under a flit label.  The pin applies to
-        ``backend="auto"`` too: a flow-only cell has nothing to route.
+        result must never be cached under a flit label.
         """
         items = sorted((params or {}).items())
         for key, value in items:
@@ -120,24 +110,11 @@ class RunSpec:
         """The grid point as a plain dict."""
         return dict(self.params)
 
-    @property
-    def is_auto(self) -> bool:
-        """Whether the backend is still awaiting plan-time resolution."""
-        return self.backend == AUTO_BACKEND
-
-    def resolve(self, backend: str, routed_from: str = AUTO_BACKEND) -> "RunSpec":
-        """A concrete copy of an ``auto`` spec, with provenance recorded."""
-        if not self.is_auto:
-            raise ValueError(
-                f"spec {self.label()} already runs on {self.backend!r}"
-            )
-        return replace(self, backend=backend, routed_from=routed_from)
-
     def canonical(self) -> Dict[str, object]:
         """The canonical JSON form the content hash is computed over.
 
-        Specs without routing provenance emit the format-2 form unchanged
-        (byte-identical hashes, caches carry over); routed specs emit
+        Specs without provenance emit the format-2 form unchanged
+        (byte-identical hashes, caches carry over); specs with one emit
         format 3 with the extra ``routed_from`` entry.
         """
         form: Dict[str, object] = {
@@ -153,17 +130,7 @@ class RunSpec:
         return form
 
     def spec_hash(self) -> str:
-        """Stable content hash — the cache / artifact key.
-
-        Only concrete specs hash: an unresolved ``auto`` spec does not name
-        an executable run, and handing out a hash for one would let cache
-        entries alias across whatever backend it later resolves to.
-        """
-        if self.is_auto:
-            raise ValueError(
-                f"spec {self.label()} has backend 'auto' — resolve it to a "
-                "concrete backend (plan with a BackendRouter) before hashing"
-            )
+        """Stable content hash — the cache / artifact key."""
         text = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
@@ -191,9 +158,9 @@ class RunSpec:
     def from_wire(form: Mapping[str, object]) -> "RunSpec":
         """Rebuild a spec from its wire form (validating the params).
 
-        Deliberately *not* :meth:`make`: the flow-only pin and any routing
-        already happened on the coordinator, and re-applying policy here
-        could change the spec (and its hash) between hosts.
+        Deliberately *not* :meth:`make`: the flow-only pin already happened
+        on the coordinator, and re-applying policy here could change the
+        spec (and its hash) between hosts.
         """
         params = form.get("params") or {}
         if not isinstance(params, Mapping):
@@ -237,44 +204,25 @@ class RunSpec:
         return f"{self.scenario}[{params}]{suffix}"
 
 
-def scale_for(spec: RunSpec, seeded: bool = True) -> "ExperimentScale":
-    """Resolve the :class:`ExperimentScale` a spec runs (or is costed) at.
+def scale_for(spec: RunSpec) -> "ExperimentScale":
+    """Resolve the :class:`ExperimentScale` a spec runs at.
 
-    This is the one place a spec's ``scale`` string becomes a preset — the
-    executor and the planner's cost estimation must agree on it or the
-    estimates describe a different machine than the run uses.
-
-    ``seeded=True`` (execution) threads the derived run seed and the
-    backend into the scale, so every network built through the harness
-    resolves on the requested substrate.  ``seeded=False`` (planning)
-    resolves the preset alone — valid for unresolved ``auto`` specs, which
-    have no hash and therefore no run seed yet.
+    The spec's ``scale`` preset, with the derived run seed and the backend
+    threaded in, so every network built through the harness resolves on
+    the requested substrate.
     """
     from repro.experiments.harness import ExperimentScale
 
     scale = ExperimentScale.preset(spec.scale)
-    if seeded:
-        scale = scale.with_seed(spec.run_seed()).with_backend(spec.backend)
-    return scale
-
-
-def _format_work(work: float) -> str:
-    """Work units for humans: compact scientific-ish notation."""
-    return f"{work:,.0f}" if work < 1e6 else f"{work:.3g}"
+    return scale.with_seed(spec.run_seed()).with_backend(spec.backend)
 
 
 @dataclass(frozen=True)
 class CampaignPlan:
-    """An ordered, de-duplicated list of runs, optionally cost-annotated."""
+    """An ordered, de-duplicated list of runs."""
 
     name: str
     specs: Tuple[RunSpec, ...] = ()
-    #: Per-spec routing/cost annotation (parallel to ``specs``) when the
-    #: plan went through a :class:`~repro.campaign.router.BackendRouter`;
-    #: empty for blind (fixed-backend) plans.
-    costs: Tuple["CellCost", ...] = ()
-    #: Total-work budget the routing honoured, if any.
-    budget: Optional[float] = None
     #: Campaign master seed (drives the audit sample, among other things).
     seed: int = DEFAULT_SEED
 
@@ -284,41 +232,11 @@ class CampaignPlan:
     def __iter__(self):
         return iter(self.specs)
 
-    @property
-    def total_work(self) -> Optional[float]:
-        """Estimated total work of the plan, if cost-annotated."""
-        if not self.costs:
-            return None
-        return sum(cell.work for cell in self.costs)
-
     def describe(self) -> str:
-        """One line per planned run (hash + label), plus the budget report."""
+        """One line per planned run: hash + label."""
         lines = [f"campaign {self.name!r}: {len(self.specs)} run(s)"]
-        if not self.costs:
-            for spec in self.specs:
-                lines.append(f"  {spec.spec_hash()}  {spec.label()}")
-            return "\n".join(lines)
-        for spec, cell in zip(self.specs, self.costs):
-            lines.append(
-                f"  {spec.spec_hash()}  {spec.label()}  "
-                f"~{_format_work(cell.work)} units on {cell.chosen} ({cell.reason})"
-            )
-        per_backend: Dict[str, Tuple[int, float]] = {}
-        for cell in self.costs:
-            count, work = per_backend.get(cell.chosen, (0, 0.0))
-            per_backend[cell.chosen] = (count + 1, work + cell.work)
-        breakdown = ", ".join(
-            f"{backend}: {count} cell(s) ~{_format_work(work)}"
-            for backend, (count, work) in sorted(per_backend.items())
-        )
-        total = self.total_work or 0.0
-        lines.append(f"  estimated work: {_format_work(total)} unit(s) — {breakdown}")
-        if self.budget is not None:
-            used = 100.0 * total / self.budget if self.budget else 0.0
-            lines.append(
-                f"  budget: {_format_work(self.budget)} unit(s) — "
-                f"within budget ({used:.0f}% allocated)"
-            )
+        for spec in self.specs:
+            lines.append(f"  {spec.spec_hash()}  {spec.label()}")
         return "\n".join(lines)
 
 
@@ -329,7 +247,7 @@ def _expand_raw(
     overrides: Mapping[str, Sequence[object]],
     backend: str,
 ) -> List[RunSpec]:
-    """Grid expansion alone — specs may still carry ``backend="auto"``.
+    """Grid expansion alone.
 
     ``overrides`` name only axes the scenario has (:func:`plan_campaign`
     filters them).
@@ -361,7 +279,6 @@ def plan_campaign(
     overrides: Optional[Mapping[str, Sequence[object]]] = None,
     name: str = "campaign",
     backend: str = "flit",
-    router: Optional["BackendRouter"] = None,
 ) -> CampaignPlan:
     """Expand several scenarios into one de-duplicated, ordered plan.
 
@@ -371,12 +288,13 @@ def plan_campaign(
     ``backend="flow"`` no matter what was requested (enforced in
     :meth:`RunSpec.make`).  Axis overrides are applied to every scenario
     that has the axis and rejected only if *no* requested scenario has it.
-
-    With ``backend="auto"`` (or an explicit ``router``) the whole plan is
-    routed in one pass, so the router's budget constrains the campaign's
-    *total* estimated work, and the returned plan carries per-cell cost
-    annotations (:attr:`CampaignPlan.costs`).
+    A backend outside :data:`~repro.model.base.BACKENDS` raises
+    :class:`~repro.model.base.BackendError` here, before anything runs.
     """
+    if backend not in BACKENDS:
+        raise BackendError(
+            f"unknown network-model backend {backend!r} (known: {', '.join(BACKENDS)})"
+        )
     overrides = dict(overrides or {})
     matched: set = set()
     specs: List[RunSpec] = []
@@ -386,8 +304,6 @@ def plan_campaign(
         applicable = {k: v for k, v in overrides.items() if k in spec.axes}
         matched.update(applicable)
         for run in _expand_raw(spec, scale, seed, applicable, backend):
-            # De-duplicate on the frozen spec itself: unresolved auto specs
-            # have no hash yet, and spec equality is exactly as strict.
             if run not in seen:
                 seen.add(run)
                 specs.append(run)
@@ -395,17 +311,5 @@ def plan_campaign(
     if unmatched:
         raise ScenarioError(
             f"override axes {sorted(unmatched)} match no requested scenario"
-        )
-    if backend == AUTO_BACKEND or router is not None:
-        from repro.campaign.router import BackendRouter
-
-        active = router or BackendRouter()
-        cells = active.route(specs)
-        return CampaignPlan(
-            name=name,
-            specs=tuple(cell.spec for cell in cells),
-            costs=tuple(cells),
-            budget=active.budget,
-            seed=seed,
         )
     return CampaignPlan(name=name, specs=tuple(specs), seed=seed)

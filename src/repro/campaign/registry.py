@@ -54,14 +54,6 @@ class Scenario:
     #: ``runner(scale, **params) -> payload dict`` (JSON-safe).
     runner: Callable[..., Mapping]
     tags: Tuple[str, ...] = ()
-    #: Optional ``cost_hints(scale, **params) -> mapping`` refining the
-    #: planner's per-cell workload profile for backend routing.  Recognized
-    #: keys (all optional): ``nodes`` (machine size, for scenarios that
-    #: build their own topology), ``messages`` (total messages incl.
-    #: background traffic), ``message_bytes`` (typical payload) and
-    #: ``concurrent_flows`` (peak in-flight fluid flows).  Scenarios
-    #: without hints are profiled with a generic scale-derived heuristic.
-    cost_hints: Optional[Callable[..., Mapping[str, float]]] = None
 
     def grid_size(self) -> int:
         """Number of runs the default grid expands to."""
@@ -111,7 +103,6 @@ def scenario(
     description: str = "",
     axes: Optional[Mapping[str, Sequence[object]]] = None,
     tags: Sequence[str] = (),
-    cost_hints: Optional[Callable[..., Mapping[str, float]]] = None,
 ) -> Callable[[Callable[..., Mapping]], Callable[..., Mapping]]:
     """Decorator registering a runner function as a scenario."""
 
@@ -126,7 +117,6 @@ def scenario(
                 axes={k: tuple(v) for k, v in (axes or {}).items()},
                 runner=runner,
                 tags=tuple(tags),
-                cost_hints=cost_hints,
             )
         )
         return runner
@@ -188,16 +178,6 @@ def scenario_tags(name: str) -> Tuple[str, ...]:
     """
     spec = _REGISTRY.get(name)
     return spec.tags if spec is not None else ()
-
-
-def scenario_cost_hints(name: str) -> Optional[Callable[..., Mapping[str, float]]]:
-    """Cost-hint callable of a registered scenario, or ``None``.
-
-    Tolerant like :func:`scenario_tags`: the planner profiles specs for
-    unregistered (toy/test) scenario names with the generic heuristic.
-    """
-    spec = _REGISTRY.get(name)
-    return spec.cost_hints if spec is not None else None
 
 
 def scenario_names(tag: Optional[str] = None) -> Tuple[str, ...]:

@@ -81,18 +81,6 @@ def _pair_allocation(placement: str, scale: ExperimentScale):
     return builder(scale.topology())
 
 
-def _pingpong_cost(scale: ExperimentScale, *, placement, message_kib, noise) -> Dict:
-    """Traffic volume of one ping-pong cell, for backend routing."""
-    messages = 2.0 * (scale.pingpong_repetitions + 1)
-    if noise != "none":
-        messages += 16.0 * scale.pingpong_repetitions  # <=16 noise nodes
-    return {
-        "messages": messages,
-        "message_bytes": scale.scaled_size(int(message_kib) * 1024),
-        "concurrent_flows": 8.0,
-    }
-
-
 @scenario(
     name="pingpong-placement",
     description="ping-pong latency/dispersion vs. placement, size and noise",
@@ -102,7 +90,6 @@ def _pingpong_cost(scale: ExperimentScale, *, placement, message_kib, noise) -> 
         "noise": ("none", "light"),
     },
     tags=("sweep", "microbench"),
-    cost_hints=_pingpong_cost,
 )
 def run_pingpong_placement(
     scale: ExperimentScale, *, placement: str, message_kib: int, noise: str
@@ -145,17 +132,6 @@ def run_pingpong_placement(
     }
 
 
-def _routing_mode_cost(scale: ExperimentScale, *, placement, mode, message_kib) -> Dict:
-    """Traffic volume of one routing-mode cell — a noisy ping-pong.
-
-    The cell is the same shape as ``pingpong-placement`` with its
-    background traffic always on, so it shares that volume model.
-    """
-    return _pingpong_cost(
-        scale, placement=placement, message_kib=message_kib, noise="light"
-    )
-
-
 @scenario(
     name="routing-mode-pingpong",
     description="static routing modes vs. placement on a large ping-pong",
@@ -165,7 +141,6 @@ def _routing_mode_cost(scale: ExperimentScale, *, placement, mode, message_kib) 
         "message_kib": (32,),
     },
     tags=("sweep", "routing"),
-    cost_hints=_routing_mode_cost,
 )
 def run_routing_mode(
     scale: ExperimentScale, *, placement: str, mode: str, message_kib: int
@@ -251,18 +226,6 @@ def _workload_factory(
     raise ValueError(f"unknown workload {name!r}")
 
 
-def _policy_comparison_cost(scale: ExperimentScale, *, workload, noise) -> Dict:
-    """Traffic volume of one policy-comparison cell (three policy runs)."""
-    ranks = max(2, scale.small_job_nodes)
-    per_policy = scale.iterations * ranks * 8.0  # collective rounds per run
-    noise_messages = 0.0 if noise == "none" else 16.0 * scale.iterations * 3
-    return {
-        "messages": 3.0 * per_policy + noise_messages,
-        "message_bytes": scale.scaled_size(4 * 1024),
-        "concurrent_flows": 2.0 * ranks,
-    }
-
-
 @scenario(
     name="policy-comparison",
     description="Default vs. HighBias vs. AppAware on a scattered allocation",
@@ -271,7 +234,6 @@ def _policy_comparison_cost(scale: ExperimentScale, *, workload, noise) -> Dict:
         "noise": ("light",),
     },
     tags=("sweep", "policy"),
-    cost_hints=_policy_comparison_cost,
 )
 def run_policy_comparison(scale: ExperimentScale, *, workload: str, noise: str) -> Dict:
     """One (workload, noise) cell of a Figure-8-style policy comparison."""
@@ -340,18 +302,6 @@ def _drive_until(network: NetworkModel, done: Callable[[], bool], max_events: in
             raise RuntimeError(f"exceeded {max_events} events")
 
 
-def _bisection_stress_cost(scale: ExperimentScale, *, mode, message_kib, noise) -> Dict:
-    """1056-node machine; waves of 64 pairs bound the concurrent flows."""
-    pairs = max(32, 528 // 8) if scale.name == "smoke" else 528
-    noise_messages = 0.0 if noise == "none" else 64.0 * 4
-    return {
-        "nodes": 1056,
-        "messages": 2.0 * pairs + noise_messages,
-        "message_bytes": scale.scaled_size(int(message_kib) * 1024),
-        "concurrent_flows": 2.0 * 64 * 8,  # one wave, spread over <=8 paths
-    }
-
-
 @scenario(
     name="bisection-stress-large",
     description="1056-node bisection exchange on the flow backend "
@@ -362,7 +312,6 @@ def _bisection_stress_cost(scale: ExperimentScale, *, mode, message_kib, noise) 
         "noise": ("none", "moderate"),
     },
     tags=("sweep", "flow-only", "large"),
-    cost_hints=_bisection_stress_cost,
 )
 def run_bisection_stress_large(
     scale: ExperimentScale, *, mode: str, message_kib: int, noise: str
@@ -444,17 +393,6 @@ def run_bisection_stress_large(
     }
 
 
-def _bisection_full_cost(scale: ExperimentScale, *, mode, message_kib, noise) -> Dict:
-    """All 528 pairs at once — thousands of concurrent fluid flows."""
-    noise_messages = 0.0 if noise == "none" else 64.0 * 4
-    return {
-        "nodes": 1056,
-        "messages": 2.0 * 528 + noise_messages,
-        "message_bytes": scale.scaled_size(int(message_kib) * 1024),
-        "concurrent_flows": 2.0 * 528 * 8,
-    }
-
-
 @scenario(
     name="bisection-full",
     description="528-pair no-wave full-bisection exchange on 1056 nodes "
@@ -465,7 +403,6 @@ def _bisection_full_cost(scale: ExperimentScale, *, mode, message_kib, noise) ->
         "noise": ("none", "moderate"),
     },
     tags=("sweep", "flow-only", "large"),
-    cost_hints=_bisection_full_cost,
 )
 def run_bisection_full(
     scale: ExperimentScale, *, mode: str, message_kib: int, noise: str
@@ -547,19 +484,6 @@ def _cluster_trace_jobs(scale: ExperimentScale, jobs: int) -> int:
     return max(16, int(jobs) // 8) if scale.name == "smoke" else int(jobs)
 
 
-def _cluster_trace_cost(scale: ExperimentScale, *, jobs, policy, mode, load) -> Dict:
-    """1056-node machine; volume scales with jobs resident at once."""
-    n_jobs = _cluster_trace_jobs(scale, jobs)
-    # Each job runs a short collective/microbench plus its isolated
-    # baseline; heavy load keeps more flows concurrently resident.
-    return {
-        "nodes": 1056,
-        "messages": 2.0 * n_jobs * 48.0,
-        "message_bytes": 4096.0,
-        "concurrent_flows": 512.0 if load == "heavy" else 128.0,
-    }
-
-
 @scenario(
     name="cluster-trace",
     description="multi-tenant trace replay on 1056 nodes: per-job slowdown, "
@@ -571,7 +495,6 @@ def _cluster_trace_cost(scale: ExperimentScale, *, jobs, policy, mode, load) -> 
         "load": ("light", "heavy"),
     },
     tags=("sweep", "flow-only", "large", "cluster"),
-    cost_hints=_cluster_trace_cost,
 )
 def run_cluster_trace(
     scale: ExperimentScale, *, jobs: int, policy: str, mode: str, load: str
@@ -616,17 +539,6 @@ def run_cluster_trace(
     }
 
 
-def _noise_sweep_cost(scale: ExperimentScale, *, noise, noise_nodes, workload) -> Dict:
-    """1056-node machine; volume scales with ranks and noise nodes."""
-    ranks = 16 if scale.name == "smoke" else 64
-    noise_messages = 0.0 if noise == "none" else float(noise_nodes) * 4
-    return {
-        "nodes": 1056,
-        "messages": scale.iterations * ranks * 8.0 + noise_messages,
-        "concurrent_flows": 8.0 * ranks,
-    }
-
-
 @scenario(
     name="noise-sweep-large",
     description="wide noise sweep around a scattered job on a 1056-node "
@@ -637,7 +549,6 @@ def _noise_sweep_cost(scale: ExperimentScale, *, noise, noise_nodes, workload) -
         "workload": ("pingpong", "allreduce"),
     },
     tags=("sweep", "flow-only", "large", "noise"),
-    cost_hints=_noise_sweep_cost,
 )
 def run_noise_sweep_large(
     scale: ExperimentScale, *, noise: str, noise_nodes: int, workload: str

@@ -51,6 +51,8 @@ def main(argv=None) -> int:
 
 def build_campaign_parser() -> argparse.ArgumentParser:
     """Parser for ``repro campaign ...`` (exposed for tests)."""
+    from repro.model.base import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro campaign",
         description="Plan, execute and inspect cached parallel scenario sweeps.",
@@ -67,30 +69,19 @@ def build_campaign_parser() -> argparse.ArgumentParser:
     run.add_argument("--scale", choices=("smoke", "paper"), default="smoke")
     run.add_argument(
         "--backend",
-        choices=("flit", "flow", "auto"),
+        choices=BACKENDS,
         default="flit",
-        help="network-model backend: cycle-accurate 'flit', fast 'flow', or "
-        "'auto' to cost every cell and route it at plan time (default: "
-        "flit); backends hash into distinct cache keys",
-    )
-    run.add_argument(
-        "--budget",
-        type=float,
-        default=None,
-        metavar="WORK",
-        help="cap the plan's total estimated work (abstract units, see "
-        "--dry-run); with --backend auto, cells are demoted to the cheapest "
-        "backend until the plan fits; flit audit re-runs are extra, outside "
-        "the budget (--dry-run reports their estimated work)",
+        help="network-model backend: cycle-accurate 'flit' or fast 'flow' "
+        "(default: flit); backends hash into distinct cache keys",
     )
     run.add_argument(
         "--audit-fraction",
         type=float,
-        default=None,
+        default=0.0,
         metavar="F",
-        help="fraction of flow-routed cells to re-run on the flit backend "
-        "as a fidelity audit (any positive value audits at least one cell; "
-        "default: 0.1 with --backend auto, else 0)",
+        help="fraction of flow cells to re-run on the flit backend as a "
+        "fidelity audit (any positive value audits at least one cell; "
+        "default: 0)",
     )
     run.add_argument("--seed", type=int, default=None, help="campaign master seed")
     run.add_argument("--workers", type=int, default=1, help="worker processes")
@@ -395,10 +386,7 @@ def campaign_main(argv: Optional[Sequence[str]] = None) -> int:
 
     from repro.campaign import (
         ArtifactStore,
-        BackendRouter,
-        BudgetError,
         Coordinator,
-        CostHistory,
         DistOptions,
         ensure_builtin_scenarios,
         plan_campaign,
@@ -613,15 +601,8 @@ def campaign_main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--csv exports the artifact store and cannot combine with --no-store")
     if args.dry_run and args.csv is not None:
         parser.error("--csv exports executed results and cannot combine with --dry-run")
-    if args.audit_fraction is not None and not 0.0 <= args.audit_fraction <= 1.0:
+    if not 0.0 <= args.audit_fraction <= 1.0:
         parser.error("--audit-fraction must be within [0, 1]")
-    if args.budget is not None and args.budget <= 0:
-        parser.error("--budget must be positive")
-    # Auto campaigns audit a 10% sample by default; fixed-backend campaigns
-    # only audit when asked (there is no router choosing flow for them).
-    audit_fraction = args.audit_fraction
-    if audit_fraction is None:
-        audit_fraction = 0.1 if args.backend == "auto" else 0.0
     from repro.telemetry import PROBES, TELEMETRY, set_instrumentation
 
     # The flags only switch on; without them the environment defaults, read
@@ -630,13 +611,6 @@ def campaign_main(argv: Optional[Sequence[str]] = None) -> int:
     probes = args.probes or PROBES.enabled
     set_instrumentation(trace, probes)
     store = None if args.no_store else ArtifactStore(args.store)
-    # Audits alone need no router — they sample the plan at execute time.
-    router = None
-    if args.backend == "auto" or args.budget is not None:
-        # Seed the cost estimates from recorded wall-clock history: any
-        # (scenario, scale, backend) group with >= 3 stored runs is costed
-        # from its measured median instead of the static proxy.
-        router = BackendRouter(budget=args.budget, history=CostHistory.from_store(store))
     try:
         names = _resolve_scenarios(args.scenarios)
         overrides: Dict[str, List[object]] = {}
@@ -658,31 +632,15 @@ def campaign_main(argv: Optional[Sequence[str]] = None) -> int:
                 overrides=overrides,
                 name="+".join(names) if len(names) <= 3 else f"{len(names)}-scenarios",
                 backend=args.backend,
-                router=router,
             )
-    except BudgetError as exc:
-        print(f"budget error: {exc}", file=sys.stderr)
-        return 2
     except (ScenarioError, ValueError) as exc:
         parser.error(str(exc))
 
     if args.dry_run:
         print(plan.describe())
-        audit_pairs = select_audit_pairs(plan, audit_fraction)
+        audit_pairs = select_audit_pairs(plan, args.audit_fraction)
         if audit_pairs:
-            extra = ""
-            if plan.costs:
-                by_spec = {cell.spec: cell for cell in plan.costs}
-                audit_work = sum(
-                    by_spec[flow_spec].estimates["flit"].work
-                    for flow_spec, _ in audit_pairs
-                    if flow_spec in by_spec and "flit" in by_spec[flow_spec].estimates
-                )
-                extra = (
-                    f" (~{audit_work:,.0f} units of flit work, "
-                    "not counted against the budget)"
-                )
-            print(f"audits: {len(audit_pairs)} flit re-run(s) scheduled{extra}")
+            print(f"audits: {len(audit_pairs)} flit re-run(s) scheduled")
             for flow_spec, twin in audit_pairs:
                 print(f"  {flow_spec.spec_hash()} -> {twin.spec_hash()}  {twin.label()}")
         if store is not None:
@@ -723,8 +681,8 @@ def campaign_main(argv: Optional[Sequence[str]] = None) -> int:
             f"--connect {bound_host}:{bound_port}"
         )
     result = coordinator.run()
-    if audit_fraction > 0.0:
-        run_audits(plan, result, store, audit_fraction, force=args.force)
+    if args.audit_fraction > 0.0:
+        run_audits(plan, result, store, args.audit_fraction, force=args.force)
     for audit in result.audits:
         if not audit.ok:
             print(

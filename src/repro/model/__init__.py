@@ -6,29 +6,22 @@
   allocation (:class:`repro.model.flow.network.FlowNetwork`).
 
 Use :func:`build_network_model` to construct the substrate selected by a
-:class:`~repro.config.SimulationConfig` (or an explicit backend override).
-It imports the backend modules on first use, because both import
-:mod:`repro.model.base` to subclass the protocol; importing them at
-package-import time would be circular.
-
-:data:`~repro.model.cost.COST_MODELS` holds each backend's estimator,
-mapping a :class:`~repro.model.cost.WorkloadProfile` to abstract work
-units, which the campaign planner uses to route grid cells to the cheapest
-adequate backend (``backend="auto"``).
+:class:`~repro.config.SimulationConfig` (or an explicit backend override);
+:data:`BACKENDS` names both.  It imports the backend modules on first use,
+because both import :mod:`repro.model.base` to subclass the protocol;
+importing them at package-import time would be circular.
 """
 
 from repro.model.base import (
+    BACKENDS,
     BackendError,
     NetworkModel,
     build_network_model,
 )
-from repro.model.cost import COST_MODELS, CostEstimate, WorkloadProfile
 
 __all__ = [
+    "BACKENDS",
     "BackendError",
-    "COST_MODELS",
-    "CostEstimate",
     "NetworkModel",
-    "WorkloadProfile",
     "build_network_model",
 ]

@@ -22,8 +22,9 @@ A backend must expose
   statistics (:meth:`router`, :meth:`total_flits_traversed`) — the simulated
   PAPI surface Algorithm 1 (:mod:`repro.core.selector`) is driven by.
 
-The two backends form a closed pair: :func:`build_network_model` picks
-one by name from ``SimulationConfig.backend`` (or an explicit override).
+The two backends form a closed pair, :data:`BACKENDS`:
+:func:`build_network_model` picks one by name from
+``SimulationConfig.backend`` (or an explicit override).
 """
 
 from __future__ import annotations
@@ -118,6 +119,10 @@ class NetworkModel(abc.ABC):
         """Zero every NIC and router counter (a fresh measurement interval)."""
 
 
+#: The backend names, most faithful first.
+BACKENDS = ("flit", "flow")
+
+
 class BackendError(LookupError):
     """Unknown backend name (subclasses LookupError for clean CLI messages)."""
 
@@ -143,6 +148,6 @@ def build_network_model(
         from repro.model.flow.network import FlowNetwork as model
     else:
         raise BackendError(
-            f"unknown network-model backend {name!r} (known: flit, flow)"
+            f"unknown network-model backend {name!r} (known: {', '.join(BACKENDS)})"
         )
     return model(config=config, sim=sim, streams=streams)

@@ -333,8 +333,7 @@ def snapshot_of(tracer: Tracer, metrics: Metrics) -> Dict[str, Any]:
         for name, agg in tracer.aggregates.items()
     }
     # "sim_s" is the executor's simulate phase alone — scenario runner time
-    # with report/audit/store excluded — which is what backend cost models
-    # should learn from.
+    # with report/audit/store excluded.
     sim_s = phases.get("simulate", 0.0)
     return {
         "t0": tracer.epoch_wall,

@@ -446,22 +446,6 @@ class TestClusterScenario:
         again = plan_campaign(["cluster-trace"]).specs
         assert hashes == [spec.spec_hash() for spec in again]
 
-    def test_cost_hints_scale_with_load(self):
-        from repro.campaign import ensure_builtin_scenarios, get_scenario
-        from repro.experiments.harness import ExperimentScale
-
-        ensure_builtin_scenarios()
-        scen = get_scenario("cluster-trace")
-        smoke = ExperimentScale.smoke()
-        light = scen.cost_hints(
-            smoke, jobs=200, policy="scattered", mode="ADAPTIVE_3", load="light"
-        )
-        heavy = scen.cost_hints(
-            smoke, jobs=200, policy="scattered", mode="ADAPTIVE_3", load="heavy"
-        )
-        assert light["nodes"] == heavy["nodes"] == 1056
-        assert heavy["concurrent_flows"] > light["concurrent_flows"]
-
 
 class TestStoreInterferenceReport:
     def test_empty_store_returns_none(self, tmp_path):

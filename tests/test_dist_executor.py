@@ -34,7 +34,6 @@ from repro.campaign import (
     run_cell,
     run_distributed,
 )
-from repro.campaign.dist.coordinator import _dispatch_order
 from repro.campaign.dist.protocol import (
     Channel,
     MAX_FRAME_BYTES,
@@ -42,9 +41,7 @@ from repro.campaign.dist.protocol import (
     encode_frame,
 )
 from repro.campaign.registry import Scenario, ScenarioError, register
-from repro.campaign.router import CellCost
 from repro.experiments.cli import _parse_bind, campaign_main
-from repro.model.cost import CostEstimate
 from repro.sim.rng import RandomStreams
 from repro.telemetry import disable, disable_probes, enable, enable_probes
 
@@ -304,7 +301,10 @@ class TestProtocol:
         spec = RunSpec.make(
             "_dist-sleepy", {"i": 2, "sleep_s": 0.5}, scale="paper", seed=7
         )
-        routed = RunSpec.make("_dist-sleepy", {"i": 1}, backend="auto").resolve("flow")
+        routed = RunSpec(
+            scenario="_dist-sleepy", params=(("i", 1),), backend="flit",
+            routed_from="audit",
+        )
         for original in (spec, routed):
             wired = json.loads(json.dumps(original.to_wire()))
             rebuilt = RunSpec.from_wire(wired)
@@ -398,33 +398,6 @@ class TestLeaseSwitches:
         assert "telemetry" not in off and "probes" not in off
 
 
-# -- dispatch order -----------------------------------------------------------------
-
-def _costed_plan(works):
-    specs = tuple(
-        RunSpec.make("_dist-sleepy", {"i": i, "sleep_s": 0.0}) for i in range(len(works))
-    )
-    costs = tuple(
-        CellCost(
-            spec=spec,
-            chosen=spec.backend,
-            reason="explicit",
-            estimates={spec.backend: CostEstimate(backend=spec.backend, work=work)},
-        )
-        for spec, work in zip(specs, works)
-    )
-    return CampaignPlan(name="costed", specs=specs, costs=costs)
-
-
-class TestDispatchOrder:
-    def test_plan_order_unless_costed_then_heaviest_first(self):
-        plain = _sleepy_plan(cells=4)
-        assert _dispatch_order(plain, plain.specs) == list(plain.specs)
-        costed = _costed_plan([1.0, 5.0, 2.0, 5.0, 1.0])
-        order = _dispatch_order(costed, costed.specs)
-        assert [spec.params_dict["i"] for spec in order] == [1, 3, 2, 0, 4]
-
-
 # -- options ------------------------------------------------------------------------
 
 class TestDistOptions:
@@ -442,11 +415,6 @@ class TestDistOptions:
     def test_lease_timeout_must_exceed_heartbeats(self):
         with pytest.raises(ValueError, match="heartbeat"):
             DistOptions(lease_timeout_s=1.0, heartbeat_s=0.6)
-
-    def test_auto_specs_rejected_by_coordinator(self):
-        spec = RunSpec.make("_dist-sleepy", {"i": 0}, backend="auto")
-        with pytest.raises(ValueError, match="unrouted"):
-            Coordinator(CampaignPlan(name="auto", specs=(spec,)))
 
 
 # -- end-to-end: local (forked) transport -------------------------------------------
@@ -657,6 +625,7 @@ class TestSocketTransport:
             coordinator, dict(os.environ, **sleepy_env)
         )
         assert result.failed == 0 and result.executed == 4
+        assert result.workers == 1  # the worker that served it, not the 0 started
         assert returncode == 0
 
     def test_external_worker_traces_and_probes_under_the_coordinator(

@@ -32,7 +32,7 @@ from repro.config import SimulationConfig
 from repro.core.selector import AppAwareSelector
 from repro.experiments.harness import ExperimentScale, build_network
 from repro.model import (
-    COST_MODELS,
+    BACKENDS,
     BackendError,
     NetworkModel,
     build_network_model,
@@ -71,8 +71,8 @@ def _ratio(a: float, b: float) -> float:
 
 class TestBackendRegistry:
     def test_builtin_backends_registered(self):
-        """Every backend the planner can cost builds under its own name."""
-        for backend in COST_MODELS:
+        """Every backend a campaign can name builds under its own name."""
+        for backend in BACKENDS:
             network = build_network_model(SimulationConfig.tiny(), backend=backend)
             assert network.backend_name == backend
 

@@ -8,7 +8,6 @@ round-trips that tolerate pre-telemetry index entries.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import os
@@ -22,7 +21,6 @@ import pytest
 
 from repro.campaign import ArtifactStore, ensure_builtin_scenarios, plan_campaign, run_cell
 from repro.campaign.dist.protocol import Channel
-from repro.campaign.router import CostHistory
 from repro.telemetry import (
     NULL_SPAN,
     TELEMETRY,
@@ -363,32 +361,6 @@ class TestStoreRoundTrip:
         store.save_session_telemetry({"kind": "dist", "leases": []})
         payloads = store.load_session_telemetry()
         assert [p["kind"] for p in payloads] == ["campaign", "dist"]
-
-    def test_cost_history_prefers_sim_s(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        spec = _spec()
-        record = run_cell(spec)
-        # Inflated elapsed_s with a small telemetry-derived sim_s: history
-        # must learn from the simulate phase, not the padded wall-clock.
-        for seed in range(3):
-            variant = dataclasses.replace(spec, seed=seed)
-            store.save(variant, record.payload, "", elapsed=50.0,
-                       telemetry={"sim_s": 0.25, "phases": {"simulate": 0.25}})
-        history = CostHistory.from_store(store)
-        work = history.work_for(spec.scenario, spec.scale, spec.backend)
-        assert work == pytest.approx(0.25 * 10_000)
-
-    def test_cost_history_falls_back_to_elapsed(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        spec = _spec()
-        record = run_cell(spec)
-        for seed in range(3):
-            store.save(dataclasses.replace(spec, seed=seed),
-                       record.payload, "", elapsed=2.0)
-        history = CostHistory.from_store(store)
-        assert history.work_for(
-            spec.scenario, spec.scale, spec.backend
-        ) == pytest.approx(2.0 * 10_000)
 
 
 # -- wire round-trip ----------------------------------------------------------------
