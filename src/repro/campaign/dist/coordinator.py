@@ -31,9 +31,18 @@ still pending.
 ``local`` workers are children forked from the coordinator, one
 ``socketpair`` each (:func:`~repro.campaign.dist.worker.serve_forked`), so
 they start without an interpreter start-up and with every registered
-scenario.  ``socket`` workers, and ``local`` ones where ``os.fork`` does
-not exist, are spawned ``repro campaign worker --connect`` processes: the
-code an external worker runs.
+scenario.  The coordinator imports the module of every backend its cells
+run on before the first fork, so each worker also starts with it (and,
+for the flow backend, numpy) already imported; imported in each fork
+instead, it made each worker's first flow cell take 0.32 s against a
+0.05 s median.  numpy's OpenBLAS starts a native thread at import, yet
+forking stays safe: ``fork`` copies only the calling thread, the
+coordinator runs no Python thread of its own, and no worker calls BLAS
+(the flow engine's NumPy fills are element-wise).  perfbench's
+``campaign-smoke`` forks in that state on every operation.  ``socket``
+workers, and ``local`` ones where ``os.fork`` does not exist, are spawned
+``repro campaign worker --connect`` processes: the code an external
+worker runs.
 """
 
 from __future__ import annotations
@@ -56,6 +65,7 @@ from repro.campaign.dist.worker import DEFAULT_HEARTBEAT_S, serve_forked
 from repro.campaign.executor import CampaignResult, ProgressFn, RunRecord, run_audits
 from repro.campaign.plan import CampaignPlan, RunSpec
 from repro.campaign.store import ArtifactStore
+from repro.model.base import backend_class
 from repro.telemetry.core import TELEMETRY
 from repro.telemetry.log import get_logger, log_event
 from repro.telemetry.probes import PROBES
@@ -252,6 +262,9 @@ class Coordinator:
             if misses:
                 self._pending.extend((spec, 0) for spec in misses)
                 self._outstanding = {spec.spec_hash() for spec in misses}
+                if self._listener is None:  # forked workers inherit them
+                    for backend in sorted({spec.backend for spec in misses}):
+                        backend_class(backend)
                 for _ in range(min(self.options.workers, len(misses))):
                     self._start_worker()
                 self._event_loop()

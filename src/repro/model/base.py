@@ -30,7 +30,8 @@ The two backends form a closed pair, :data:`BACKENDS`:
 from __future__ import annotations
 
 import abc
-from typing import Callable, ClassVar, Iterable, Optional, TYPE_CHECKING
+import importlib
+from typing import Callable, ClassVar, Iterable, Optional, TYPE_CHECKING, Type
 
 from repro.config import SimulationConfig
 from repro.routing.modes import RoutingMode
@@ -119,12 +120,30 @@ class NetworkModel(abc.ABC):
         """Zero every NIC and router counter (a fresh measurement interval)."""
 
 
+#: Module and class of each backend's model, most faithful first.  Imported
+#: on first use, not here: both modules import this one to subclass
+#: :class:`NetworkModel`.
+_BACKEND_CLASSES = {
+    "flit": ("repro.network.network", "Network"),
+    "flow": ("repro.model.flow.network", "FlowNetwork"),
+}
+
 #: The backend names, most faithful first.
-BACKENDS = ("flit", "flow")
+BACKENDS = tuple(_BACKEND_CLASSES)
 
 
 class BackendError(LookupError):
     """Unknown backend name (subclasses LookupError for clean CLI messages)."""
+
+
+def backend_class(name: str) -> Type[NetworkModel]:
+    """The model class of backend ``name``, importing its module."""
+    if name not in _BACKEND_CLASSES:
+        raise BackendError(
+            f"unknown network-model backend {name!r} (known: {', '.join(BACKENDS)})"
+        )
+    module, cls = _BACKEND_CLASSES[name]
+    return getattr(importlib.import_module(module), cls)
 
 
 def build_network_model(
@@ -137,17 +156,8 @@ def build_network_model(
 
     The explicit ``backend`` argument wins over the config field, so callers
     can reuse one :class:`SimulationConfig` across backends (the parity tests
-    do exactly that).  The backends are imported here, not at module level:
-    both import this module to subclass :class:`NetworkModel`.
+    do exactly that).
     """
     config = config or SimulationConfig()
-    name = backend if backend is not None else config.backend
-    if name == "flit":
-        from repro.network.network import Network as model
-    elif name == "flow":
-        from repro.model.flow.network import FlowNetwork as model
-    else:
-        raise BackendError(
-            f"unknown network-model backend {name!r} (known: {', '.join(BACKENDS)})"
-        )
+    model = backend_class(backend if backend is not None else config.backend)
     return model(config=config, sim=sim, streams=streams)

@@ -44,7 +44,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List
 
-from repro.model.flow.solver import EPS, FairShareSolver, FlowState
+from repro.model.flow.solver import EPS, FairShareSolver, FlowState, new_stats
+from repro.model.flow.vectorized import VectorizedFairShareEngine
 
 #: Engine names accepted by :func:`make_engine`.
 ENGINE_KINDS = ("reference", "vectorized")
@@ -64,27 +65,10 @@ def make_engine(kind: str, capacity_of: Callable[[object], float]):
     if kind == "reference":
         return ReferenceFairShareEngine(capacity_of)
     if kind == "vectorized":
-        from repro.model.flow.vectorized import VectorizedFairShareEngine
-
         return VectorizedFairShareEngine(capacity_of)
     raise SolverEngineError(
         f"unknown flow-solver engine {kind!r} (known: {', '.join(ENGINE_KINDS)})"
     )
-
-
-def new_stats() -> Dict[str, int]:
-    """A zeroed engine-statistics block (shared shape across engines)."""
-    return {
-        "solves": 0,
-        "full": 0,
-        "incremental": 0,
-        "skipped": 0,
-        "rounds": 0,
-        "flows_touched": 0,
-        # Incremental component walks that crossed _FULL_SOLVE_FRACTION and
-        # fell back to a full solve (always 0 for the reference engine).
-        "aborts": 0,
-    }
 
 
 class ReferenceFairShareEngine:

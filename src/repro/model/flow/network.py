@@ -15,7 +15,16 @@ How a message is resolved
    by the current per-link overload estimate, and gated by the routing
    mode's bias exactly like UGAL — Adaptive spreads across any candidate
    whose score beats the best minimal one, High Bias keeps traffic minimal
-   until the minimal paths are heavily overloaded.
+   until the minimal paths are heavily overloaded.  Most sends need one
+   score: both Valiant candidates are drawn first, and scoring stops at
+   the first minimal path at or under ``floor``, the lowest score a
+   candidate could have (its hops, the shared host-link overloads, the
+   penalty and the bias, with no fabric overload).  Because overloads are
+   never negative, IEEE addition and multiplication by a non-negative
+   ``nonminimal_penalty`` are monotone, and ``floor`` adds the same terms
+   in the same order as a real score, no detour could have joined: the
+   chosen paths and the draws are exactly those of scoring every path.
+   With a negative penalty every path is scored.
 2. The message becomes one **fluid sub-flow per selected path**, with its
    request flits split proportionally to each path's nominal bottleneck
    bandwidth.  Sub-flows occupy their injection link, every fabric hop and
@@ -77,6 +86,9 @@ _MAX_SPREAD = 8
 #: Fabric link keys of a path, one ``("fab", a, b)`` per hop.
 Fabric = Tuple[Tuple[str, int, int], ...]
 
+#: A host link key: ``("host", "inj", node)`` or ``("host", "ej", node)``.
+HostLink = Tuple[str, str, int]
+
 
 class RoutePlan(NamedTuple):
     """How one message spreads over its paths, from its solo solve.
@@ -90,6 +102,8 @@ class RoutePlan(NamedTuple):
     """
 
     routes: Tuple[Tuple[Path, Fabric, float, float, int, int], ...]
+    #: Every router on any of the paths, once each (a stall is spread over them).
+    routers: Tuple[int, ...]
     #: Back-pressure-free aggregate rate (flits/cycle).
     free_rate: float
     #: Share-weighted round trip plus one packet's serialization (cycles).
@@ -110,6 +124,7 @@ class RouteTable:
     Every :class:`FlowNetwork` of the configuration reads and fills it:
 
     * ``links`` interns one ``("fab", a, b)`` key per directed link;
+    * ``hosts`` interns each node's injection and ejection link keys;
     * ``fabric`` holds each minimal path's fabric link keys;
     * ``plans`` holds the :class:`RoutePlan` of every spread that is a pure
       function of its router pair and routing mode, by ``(paths, packet
@@ -122,6 +137,7 @@ class RouteTable:
     def __init__(self, num_routers: int):
         self._num_routers = num_routers
         self.links: Dict[int, Tuple[str, int, int]] = {}
+        self.hosts: Dict[int, Tuple[HostLink, HostLink]] = {}
         self.fabric: Dict[Path, Fabric] = {}
         self.plans: Dict[Tuple[Sequence[Path], int], RoutePlan] = {}
 
@@ -133,6 +149,13 @@ class RouteTable:
         if table is None:
             table = _ROUTE_TABLES[key] = cls(config.topology.num_routers)
         return table
+
+    def host_links(self, node: int) -> Tuple[HostLink, HostLink]:
+        """A node's injection and ejection link keys (stored)."""
+        keys = self.hosts.get(node)
+        if keys is None:
+            keys = self.hosts[node] = (("host", "inj", node), ("host", "ej", node))
+        return keys
 
     def path_fabric(self, path: Path) -> Fabric:
         """Fabric link keys of any path, from the interned per-link keys (not stored)."""
@@ -210,7 +233,12 @@ class FlowRouterStats:
 
 
 class _MessageFlows:
-    """Bookkeeping shared by the sub-flows of one in-flight message."""
+    """Bookkeeping shared by the sub-flows of one in-flight message.
+
+    Each sub-flow's own data travels in its ``FlowState.payload``, the tuple
+    ``(state, fwd, back, path, flits)``: this object, its forward and
+    response residual latencies, its routers and the flits it carries.
+    """
 
     __slots__ = (
         "message",
@@ -219,40 +247,32 @@ class _MessageFlows:
         "t0",
         "volume",
         "pkt_flits",
-        "free_rate",
-        "base_rtt",
-        "pending_serial",
+        "plan",
         "pending_arrivals",
         "pending_acks",
         "last_serial_time",
-        "residual_fwd",
-        "residual_back",
-        "path_routers",
-        "path_flits",
-        "path_buffer",
     )
 
-    def __init__(self, message: Message, src_nic: FlowNic, dst_nic: FlowNic, t0: int):
+    def __init__(
+        self,
+        message: Message,
+        src_nic: FlowNic,
+        dst_nic: FlowNic,
+        t0: int,
+        volume: float,
+        pkt_flits: int,
+        plan: RoutePlan,
+    ):
         self.message = message
         self.src_nic = src_nic
         self.dst_nic = dst_nic
         self.t0 = t0
-        self.volume = 0.0
-        self.pkt_flits = 1
-        self.free_rate = 1.0
-        self.base_rtt = 0.0
-        self.pending_serial = 0
-        self.pending_arrivals = 0
-        self.pending_acks = 0
+        self.volume = volume
+        self.pkt_flits = pkt_flits
+        self.plan = plan
+        self.pending_arrivals = len(plan.routes)
+        self.pending_acks = len(plan.routes)
         self.last_serial_time = t0
-        #: Per-sub-flow residual latencies, keyed by flow id.
-        self.residual_fwd: Dict[int, int] = {}
-        self.residual_back: Dict[int, int] = {}
-        #: Routers each sub-flow traverses and the flits it carries.
-        self.path_routers: Dict[int, Tuple[int, ...]] = {}
-        self.path_flits: Dict[int, float] = {}
-        #: Weighted in-path buffering estimate (flits) for the latency model.
-        self.path_buffer = 0.0
 
 
 class FlowLinkSampler(ProbeSampler):
@@ -424,14 +444,6 @@ class FlowNetwork(NetworkModel):
         self._capacity_cache[key] = value
         return value
 
-    @staticmethod
-    def _injection_key(node: int):
-        return ("host", "inj", node)
-
-    @staticmethod
-    def _ejection_key(node: int):
-        return ("host", "ej", node)
-
     # -- overload estimate (the flow backend's congestion signal) ----------------
 
     def _overload_flits(self, key) -> float:
@@ -496,6 +508,13 @@ class FlowNetwork(NetworkModel):
         Returns the minimal paths, the detours with their fabric link keys,
         and whether the choice is a pure function of the router pair and
         mode (no detour, no random sample), so that its plan may be stored.
+
+        The adaptive modes draw both Valiant candidates before scoring
+        anything (scoring draws nothing, so the routing stream advances as
+        if each were drawn just before its score), then stop at the first
+        minimal path scoring at most ``floor``, the lowest score any
+        candidate can have (module docstring, step 1): ``floor`` must add
+        the same terms in the same order as :meth:`_path_score`.
         """
         src_router = self.nics[src_node].router_id
         dst_router = self.nics[dst_node].router_id
@@ -528,22 +547,39 @@ class FlowNetwork(NetworkModel):
             bias = bias_for_mode(mode, cfg, minimal_hops)
 
         minimal_paths, whole = self._minimal_spread(src_router, dst_router)
-        seen = set(minimal_paths)
-        inj = self._overload_flits(self._injection_key(src_node))
-        ej = self._overload_flits(self._ejection_key(dst_node))
-        minimal_fabric = self._routes.minimal_fabric
-        best_minimal = min(
-            self._path_score(inj, ej, minimal_fabric(path)) for path in minimal_paths
-        )
+        candidates = [
+            sampler.nonminimal(src_router, dst_router)
+            for _ in range(cfg.nonminimal_candidates)
+        ]
+        routes = self._routes
+        inj = self._overload_flits(routes.host_links(src_node)[0])
+        ej = self._overload_flits(routes.host_links(dst_node)[1])
+        penalty = cfg.nonminimal_penalty
+        floor = -math.inf  # a negative penalty voids the bound: score them all
+        if not candidates:
+            floor = math.inf
+        elif penalty >= 0.0:
+            # Monotone in the hop count, so the fewest hops give the least
+            # score any candidate can reach.
+            floor = (inj + ej + float(min(map(len, candidates)) - 1)) * penalty + bias
+        path_score = self._path_score
+        minimal_fabric = routes.minimal_fabric
+        best_minimal = math.inf
+        for path in minimal_paths:
+            score = path_score(inj, ej, minimal_fabric(path))
+            if score <= floor:
+                return minimal_paths, [], whole
+            if score < best_minimal:
+                best_minimal = score
 
+        seen = set(minimal_paths)
         detours = []
-        for _ in range(cfg.nonminimal_candidates):
-            path = sampler.nonminimal(src_router, dst_router)
+        for path in candidates:
             if path in seen:
                 continue
             seen.add(path)
             fabric = path_fabric(path)
-            score = self._path_score(inj, ej, fabric) * cfg.nonminimal_penalty + bias
+            score = path_score(inj, ej, fabric) * penalty + bias
             # The whole-message analogue of UGAL's per-packet comparison: a
             # detour joins the spread only when it beats the best minimal
             # candidate despite its bias, i.e. when the minimal paths are
@@ -606,7 +642,7 @@ class FlowNetwork(NetworkModel):
         routes = [(path, minimal_fabric(path), True) for path in spread]
         routes += [(path, fabric, False) for path, fabric in detours]
         # Any node's host links do: they all have the host-link capacity.
-        inj, ej = self._injection_key(0), self._ejection_key(0)
+        inj, ej = self._routes.host_links(0)
         flows: List[FlowState] = []
         latencies: List[Tuple[int, int]] = []
         for path, fabric, _minimal in routes:
@@ -635,8 +671,8 @@ class FlowNetwork(NetworkModel):
             entries.append((path, fabric, flow.cap, share, fwd, back))
         base_rtt += pkt_flits * self.config.topology.cycles_per_flit
         return RoutePlan(
-            tuple(entries), min(self._inj_rate, total_rate), base_rtt, path_buffer,
-            minimal_weight,
+            tuple(entries), tuple({r for path, *_ in routes for r in path}),
+            min(self._inj_rate, total_rate), base_rtt, path_buffer, minimal_weight,
         )
 
     # -- NetworkModel API -------------------------------------------------------------
@@ -660,11 +696,6 @@ class FlowNetwork(NetworkModel):
         self._check_node(src_node)
         self._check_node(dst_node)
 
-        def _count_delivery(message: Message) -> None:
-            self.delivered_messages += 1
-            if on_delivered is not None:
-                on_delivered(message)
-
         message = Message(
             src_node=src_node,
             dst_node=dst_node,
@@ -672,7 +703,7 @@ class FlowNetwork(NetworkModel):
             routing_mode=routing_mode,
             nic_config=self.config.nic,
             op=op,
-            on_delivered=_count_delivery,
+            on_delivered=on_delivered,
             on_acked=on_acked,
             tag=tag,
         )
@@ -699,50 +730,34 @@ class FlowNetwork(NetworkModel):
                 pkt_flits, -(-message.response_flits // message.num_packets)
             )
 
+        routes = self._routes
         spread, detours, storable = self._choose_paths(src_node, dst_node, routing_mode)
         if storable:
-            plans = self._routes.plans
+            plans = routes.plans
             plan = plans.get((spread, pkt_flits))
             if plan is None:
                 plan = plans[(spread, pkt_flits)] = self._plan(spread, detours, pkt_flits)
         else:
             plan = self._plan(spread, detours, pkt_flits)
 
-        state = _MessageFlows(message, src_nic, dst_nic, now)
-        state.volume = volume
-        state.pkt_flits = pkt_flits
-        state.pending_serial = len(plan.routes)
-        state.pending_arrivals = len(plan.routes)
-        state.pending_acks = len(plan.routes)
-        state.free_rate = plan.free_rate
-        state.base_rtt = plan.base_rtt
-        state.path_buffer = plan.path_buffer
-
-        inj = self._injection_key(src_node)
-        ej = self._ejection_key(dst_node)
-        flows: List[FlowState] = []
-        for path, fabric, cap, share, fwd, back in plan.routes:
-            flow = FlowState(
-                flow_id=self._flow_seq,
-                links=(inj,) + fabric + (ej,),
-                volume_flits=max(1e-3, volume * share),
-                cap=cap,
-                payload=state,
-            )
-            self._flow_seq += 1
-            state.residual_fwd[flow.flow_id] = fwd
-            state.residual_back[flow.flow_id] = back
-            state.path_routers[flow.flow_id] = path
-            state.path_flits[flow.flow_id] = volume * share
-            flows.append(flow)
-
         message.minimal_packets = round(message.num_packets * plan.minimal_weight)
         message.nonminimal_packets = message.num_packets - message.minimal_packets
+        state = _MessageFlows(message, src_nic, dst_nic, now, volume, pkt_flits, plan)
+        inj = routes.host_links(src_node)[0]
+        ej = routes.host_links(dst_node)[1]
         # The flows join at rate 0: the deferred global re-solve sets the
         # real one, and _advance_progress must not drain a brand-new flow
         # over the idle interval that preceded its existence.
-        for flow in flows:
-            self._add_flow(flow)
+        for path, fabric, cap, share, fwd, back in plan.routes:
+            flits = volume * share
+            self._add_flow(FlowState(
+                flow_id=self._flow_seq,
+                links=(inj,) + fabric + (ej,),
+                volume_flits=max(1e-3, flits),
+                cap=cap,
+                payload=(state, fwd, back, path, flits),
+            ))
+            self._flow_seq += 1
         return message
 
     def _check_node(self, node_id: int) -> None:
@@ -835,7 +850,7 @@ class FlowNetwork(NetworkModel):
         if self._dirty:
             return
         self._dirty = True
-        self.sim.schedule(0, self._resolve)
+        self.sim.schedule_call(0, self._resolve)
 
     def _resolve(self) -> None:
         if not TELEMETRY.enabled:
@@ -897,22 +912,18 @@ class FlowNetwork(NetworkModel):
     # -- message completion ---------------------------------------------------------
 
     def _sub_flow_serialized(self, flow: FlowState) -> None:
-        state: _MessageFlows = flow.payload
-        now = self.sim.now
-        state.pending_serial -= 1
-        state.last_serial_time = max(state.last_serial_time, now)
-        fwd = state.residual_fwd[flow.flow_id]
-        back = state.residual_back[flow.flow_id]
-        self._account_traversal(state, flow.flow_id)
-        self.sim.schedule(fwd, self._sub_flow_arrived, state)
-        self.sim.schedule(fwd + back, self._sub_flow_acked, state)
+        state, fwd, back, path, flits = flow.payload
+        state.last_serial_time = max(state.last_serial_time, self.sim.now)
+        self._account_traversal(state, path, flits)
+        self.sim.schedule_call(fwd, self._sub_flow_arrived, state)
+        self.sim.schedule_call(fwd + back, self._sub_flow_acked, state)
 
-    def _account_traversal(self, state: _MessageFlows, flow_id: int) -> None:
+    def _account_traversal(self, state: _MessageFlows, path: Path, path_flits: float) -> None:
         """Attribute the sub-flow's flits to every router on its path."""
-        flits = int(round(state.path_flits[flow_id]))
+        flits = int(round(path_flits))
         packets = max(1, int(round(state.message.num_packets
-                                   * state.path_flits[flow_id] / max(1.0, state.volume))))
-        for router_id in state.path_routers[flow_id]:
+                                   * path_flits / max(1.0, state.volume))))
+        for router_id in path:
             stats = self._router_stats[router_id]
             stats.flits_traversed += flits
             stats.packets_traversed += packets
@@ -927,6 +938,7 @@ class FlowNetwork(NetworkModel):
         state.dst_nic.messages_received += 1
         if state.dst_nic.on_message_delivered is not None:
             state.dst_nic.on_message_delivered(message)
+        self.delivered_messages += 1
         if message.on_delivered is not None:
             message.on_delivered(message)
 
@@ -935,12 +947,12 @@ class FlowNetwork(NetworkModel):
         if state.pending_acks > 0:
             return
         message = state.message
-        now = self.sim.now
+        plan = state.plan
         serialization = max(0, state.last_serial_time - state.t0)
         # Back-pressure-free serialization of the same volume on the same
         # path set; anything beyond it is what the flit backend's injection
         # pipe would have reported as stalled cycles.
-        free_cycles = state.volume / state.free_rate
+        free_cycles = state.volume / plan.free_rate
         stalled = max(0.0, serialization - free_cycles)
         # ... and the stall counter's baseline is the host-link rate, so the
         # structural slowdown of a narrow fabric path shows up as well:
@@ -956,25 +968,24 @@ class FlowNetwork(NetworkModel):
         per_flit_excess = 0.0
         if state.volume > 0 and serialization > 0:
             per_flit_excess = max(
-                0.0, serialization / state.volume - 1.0 / state.free_rate
+                0.0, serialization / state.volume - 1.0 / plan.free_rate
             )
         inflight_flits = (
             min(message.num_packets, self.config.nic.max_outstanding_packets)
             * state.pkt_flits
         )
-        queued_ahead = 0.5 * min(inflight_flits, state.path_buffer)
-        latency = state.base_rtt + queued_ahead * per_flit_excess
+        queued_ahead = 0.5 * min(inflight_flits, plan.path_buffer)
+        latency = plan.base_rtt + queued_ahead * per_flit_excess
         counters.responses_received += message.num_packets
         counters.request_packets_cum_latency += message.num_packets * latency
         # Spread the stall estimate over the traversed routers for the
         # Table-1-style router statistics.
-        routers = {r for path in state.path_routers.values() for r in path}
-        if routers and stalled > 0:
-            share = stalled / len(routers)
-            for router_id in routers:
+        if stalled > 0:
+            share = stalled / len(plan.routers)
+            for router_id in plan.routers:
                 self._router_stats[router_id]._stalled += share
         message.packets_acked = message.num_packets
-        message.acked_time = now
+        message.acked_time = self.sim.now
         state.src_nic.inflight -= 1
         if message.on_acked is not None:
             message.on_acked(message)

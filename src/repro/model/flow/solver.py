@@ -47,6 +47,21 @@ def cap_eps(cap: float) -> float:
     return EPS * max(1.0, cap)
 
 
+def new_stats() -> Dict[str, int]:
+    """A zeroed engine-statistics block (shared shape across engines)."""
+    return {
+        "solves": 0,
+        "full": 0,
+        "incremental": 0,
+        "skipped": 0,
+        "rounds": 0,
+        "flows_touched": 0,
+        # Incremental component walks that crossed _FULL_SOLVE_FRACTION and
+        # fell back to a full solve (always 0 for the reference engine).
+        "aborts": 0,
+    }
+
+
 class FlowState:
     """One fluid flow: remaining volume, occupied links and a rate cap."""
 

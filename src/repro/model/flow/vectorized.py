@@ -48,8 +48,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.model.flow.engine import new_stats
-from repro.model.flow.solver import EPS, FlowState, cap_eps
+from repro.model.flow.solver import EPS, FlowState, cap_eps, new_stats
 
 #: Rebuild the per-round CSR arrays once this fraction of rows froze.
 _COMPACT_FRACTION = 0.5

@@ -116,7 +116,7 @@ class MpiJob:
             self._active_ranks += 1
             # Stagger program starts by a tiny per-rank offset: real job
             # launches are never perfectly synchronous.
-            self.sim.schedule(rank % 3, self._advance, rank, generator, None)
+            self.sim.schedule_call(rank % 3, self._advance, rank, generator, None)
 
     def run(self, program: ProgramFactory, max_events: int = 200_000_000) -> int:
         """Launch a program on all ranks and run until they all finish.
@@ -193,7 +193,7 @@ class MpiJob:
     def _wait_all(self, rank: int, generator, requests: List[Request], original) -> None:
         remaining = len(requests)
         if remaining == 0:
-            self.sim.schedule(0, self._advance, rank, generator, original)
+            self.sim.schedule_call(0, self._advance, rank, generator, original)
             return
         state = {"remaining": remaining}
 
@@ -203,7 +203,7 @@ class MpiJob:
                 # Resume through the event queue (never synchronously) so deep
                 # chains of already-completed requests cannot overflow the
                 # Python call stack.
-                self.sim.schedule(0, self._advance, rank, generator, original)
+                self.sim.schedule_call(0, self._advance, rank, generator, original)
 
         for request in requests:
             if not isinstance(request, Request):
@@ -245,7 +245,7 @@ class MpiJob:
         dst_node = self.node_of(dst_rank)
         overhead = self._host_delay(src_node, self.host.send_overhead)
         if src_node == dst_node:
-            self.sim.schedule(
+            self.sim.schedule_call(
                 overhead,
                 self._intra_node_transfer,
                 src_rank,
@@ -255,7 +255,7 @@ class MpiJob:
                 request,
             )
         else:
-            self.sim.schedule(
+            self.sim.schedule_call(
                 overhead,
                 self._network_send,
                 src_rank,
@@ -277,7 +277,7 @@ class MpiJob:
         if unexpected:
             unexpected.popleft()
             overhead = self._host_delay(self.node_of(dst_rank), self.host.recv_overhead)
-            self.sim.schedule(overhead, request.complete, self.sim.now)
+            self.sim.schedule_call(overhead, request.complete, self.sim.now)
         else:
             self._pending_recvs[key].append(request)
         return request
@@ -287,7 +287,7 @@ class MpiJob:
         self._check_rank(rank)
         request = Request("compute", rank)
         delay = self._host_delay(self.node_of(rank), max(0, int(cycles)))
-        self.sim.schedule(delay, request.complete, self.sim.now)
+        self.sim.schedule_call(delay, request.complete, self.sim.now)
         return request
 
     # -- internal transfer paths ---------------------------------------------------------
@@ -305,14 +305,21 @@ class MpiJob:
         dst_node = self.node_of(dst_rank)
         policy = self.policies[src_rank]
         mode = policy.mode_for(size_bytes, dst_node, collective)
-        nic = self.network.nic(src_node)
-        before = nic.counters.snapshot()
         key = (src_rank, dst_rank, tag)
 
-        def _on_acked(message: Message) -> None:
-            after = nic.counters.snapshot()
-            policy.observe(after.delta(before), mode)
-            request.complete(self.sim.now, message)
+        if type(policy).observe is RoutingPolicy.observe:
+            # A policy that inherits the no-op observe is fed nothing, so
+            # no counters are snapshotted for it.
+            def _on_acked(message: Message) -> None:
+                request.complete(self.sim.now, message)
+        else:
+            nic = self.network.nic(src_node)
+            before = nic.counters.snapshot()
+
+            def _on_acked(message: Message) -> None:
+                after = nic.counters.snapshot()
+                policy.observe(after.delta(before), mode)
+                request.complete(self.sim.now, message)
 
         def _on_delivered(message: Message) -> None:
             self._match_delivery(key, message)
@@ -353,7 +360,7 @@ class MpiJob:
             request.complete(self.sim.now)
             self._match_delivery(key, None)
 
-        self.sim.schedule(copy_cycles, _complete)
+        self.sim.schedule_call(copy_cycles, _complete)
 
     def _match_delivery(self, key: Tuple[int, int, object], message: Optional[Message]) -> None:
         """Complete a posted receive or store the message as unexpected."""
@@ -362,7 +369,7 @@ class MpiJob:
             request = pending.popleft()
             dst_rank = key[1]
             overhead = self._host_delay(self.node_of(dst_rank), self.host.recv_overhead)
-            self.sim.schedule(overhead, request.complete, self.sim.now, message)
+            self.sim.schedule_call(overhead, request.complete, self.sim.now, message)
         else:
             self._unexpected[key].append(message)
 

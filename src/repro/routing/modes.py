@@ -21,10 +21,12 @@ class RoutingMode(str, Enum):
     NMIN_HASH = "NMIN_HASH"
     IN_ORDER = "IN_ORDER"
 
-    @property
-    def is_adaptive(self) -> bool:
-        """True for the UGAL-based modes (bias may still be applied)."""
-        return self in ADAPTIVE_MODES
+    def __init__(self, value: str):
+        #: True for the UGAL-based modes (bias may still be applied).  Set
+        #: once per member from its value: every flit UGAL decision and
+        #: flow send reads it, and a plain attribute costs a third of a
+        #: property's set lookup.
+        self.is_adaptive = value.startswith("ADAPTIVE_")
 
     @property
     def always_minimal(self) -> bool:

@@ -500,6 +500,39 @@ class TestLocalTransport:
                 == serial_store.result_path(spec).read_bytes()
             ), f"artifact for {spec.label()} differs distributed vs serial"
 
+    def test_forks_start_with_the_flow_backend_imported(self, tmp_path, sleepy_env):
+        """Every fork of a flow plan already holds numpy and the flow
+        engine, so no worker's first cell pays for importing them.  Runs in
+        a fresh interpreter: this one imported both long ago."""
+        script = (
+            "import json, os, sys\n"
+            "from repro.campaign import (ArtifactStore, DistOptions,\n"
+            "    ensure_builtin_scenarios, plan_campaign, run_distributed)\n"
+            "MODULES = ('numpy', 'repro.model.flow.vectorized')\n"
+            "seen = []\n"
+            "fork = os.fork\n"
+            "def spying_fork():\n"
+            "    seen.append([name in sys.modules for name in MODULES])\n"
+            "    return fork()\n"
+            "os.fork = spying_fork\n"
+            "ensure_builtin_scenarios()\n"
+            "plan = plan_campaign(['pingpong-placement'], backend='flow', overrides={\n"
+            "    'placement': ['inter-groups'], 'message_kib': [4]})\n"
+            "result = run_distributed(plan, store=ArtifactStore(sys.argv[1]),\n"
+            "                         options=DistOptions(workers=2))\n"
+            "print(json.dumps({'seen': seen, 'executed': result.executed,\n"
+            "                  'failed': result.failed}))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=sleepy_env["PYTHONPATH"])
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "store")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outcome = json.loads(done.stdout.strip().splitlines()[-1])
+        assert (outcome["executed"], outcome["failed"]) == (2, 0)
+        assert outcome["seen"] == [[True, True]] * 2
+
     def test_coordinator_temporary_directory_survives_the_workers(self):
         """A forked worker exits without running this process's exit hooks,
         one of which would delete every live ``TemporaryDirectory``."""

@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from repro.config import SimulationConfig
-from repro.core.policy import default_policy, high_bias_policy
+from repro.core.policy import ApplicationAwarePolicy, default_policy, high_bias_policy
+from repro.core.selector import SelectorParams
+from repro.model.flow.network import FlowNetwork
 from repro.mpi.job import MpiJob
 from repro.mpi.request import Request
+from repro.network.counters import NicCounters
 from repro.network.network import Network
+from repro.noise.background import BackgroundTraffic, NoiseLevel
 from repro.routing.modes import RoutingMode
+from repro.workloads.microbench import PingPongBenchmark
 
 
 def quiet_config():
@@ -377,3 +386,60 @@ class TestCollectives:
 
         end = job.run(program)
         assert end == network.sim.now
+
+
+class _RecordingPolicy(ApplicationAwarePolicy):
+    """Algorithm 1, recording every ``(snapshot, mode)`` it is fed."""
+
+    def __init__(self, calls: list):
+        super().__init__(SimulationConfig().nic, SelectorParams(threshold_bytes=0))
+        self._calls = calls
+
+    def observe(self, counters, mode):
+        self._calls.append((dataclasses.astuple(counters), mode.value))
+        super().observe(counters, mode)
+
+
+def _noisy_flow_pingpong(policy_factory) -> FlowNetwork:
+    """Inter-group 16 KiB ping-pong on the flow backend, under moderate noise."""
+    network = FlowNetwork(SimulationConfig.small().with_backend("flow"))
+    allocation = [0, network.num_nodes - 1]
+    noise = BackgroundTraffic.for_level(
+        network, allocation, NoiseLevel.MODERATE, name="observe-noise"
+    )
+    noise.start()
+    job = MpiJob(network, allocation, policy_factory=policy_factory, name="observed")
+    PingPongBenchmark(size_bytes=16384, iterations=6, warmup=1).run(job)
+    noise.stop()
+    return network
+
+
+class TestAlgorithm1Feedback:
+    """What the MPI layer feeds Algorithm 1 after every acked network send."""
+
+    #: Digest of the ``(snapshot, mode)`` sequence, recorded before sends
+    #: stopped snapshotting counters for policies that do not observe.
+    OBSERVED_DIGEST = "368b0b7bb2338ee49ad9526b9747e8c23676fe6eb20ec42512c36dce72a848a3"
+
+    def test_observed_sequence_is_pinned(self):
+        calls: list = []
+        network = _noisy_flow_pingpong(lambda: _RecordingPolicy(calls))
+        sent = network.nic(0).messages_sent + network.nic(network.num_nodes - 1).messages_sent
+        assert len(calls) == sent > 0
+        assert {mode for _, mode in calls} == {"ADAPTIVE_0", "ADAPTIVE_3"}
+        assert any(snapshot[1] > 0 for snapshot, _ in calls)  # stalls under noise
+        digest = hashlib.sha256(json.dumps(calls).encode()).hexdigest()
+        assert digest == self.OBSERVED_DIGEST
+
+    def test_static_policy_sends_take_no_snapshot(self, monkeypatch):
+        snapshots = []
+        snapshot = NicCounters.snapshot
+
+        def counting(self):
+            snapshots.append(1)
+            return snapshot(self)
+
+        monkeypatch.setattr(NicCounters, "snapshot", counting)
+        network = _noisy_flow_pingpong(default_policy)
+        assert network.nic(0).messages_sent > 0
+        assert snapshots == []

@@ -24,6 +24,10 @@ class TestRoutingMode:
         assert RoutingMode.ADAPTIVE_0.is_adaptive
         assert not RoutingMode.MIN_HASH.is_adaptive
 
+    @pytest.mark.parametrize("mode", list(RoutingMode))
+    def test_is_adaptive_is_membership_in_adaptive_modes(self, mode):
+        assert mode.is_adaptive is (mode in ADAPTIVE_MODES)
+
     def test_minimal_flags(self):
         assert RoutingMode.MIN_HASH.always_minimal
         assert RoutingMode.IN_ORDER.always_minimal
