@@ -8,7 +8,8 @@ This example walks through the lowest layer of the library:
 3. read the four NIC counters the paper relies on (request flits, stall
    cycles, request packets, cumulative latency) and feed them into the
    Section 2.4 performance model;
-4. let the application-aware runtime (Algorithm 1) pick the routing mode.
+4. let Algorithm 1 pick the routing mode for each send of a two-rank MPI
+   job (the application-aware policy).
 
 Run with::
 
@@ -18,7 +19,8 @@ Run with::
 from __future__ import annotations
 
 from repro import (
-    AppAwareRuntime,
+    ApplicationAwarePolicy,
+    MpiJob,
     Network,
     RoutingMode,
     SimulationConfig,
@@ -55,23 +57,35 @@ def main() -> None:
         # A fresh network per mode keeps the comparison clean.
         send_and_measure(Network(config), mode, 64 * 1024)
 
-    print("\n2) the application-aware runtime (Algorithm 1) picking the mode:")
+    print("\n2) Algorithm 1 picking the mode for each send of an MPI job:")
     network = Network(config)
-    runtime = AppAwareRuntime(network, node_id=0)
-    dst = network.num_nodes - 1
-    for index in range(6):
-        done = []
-        runtime.send(dst, 64 * 1024, on_acked=lambda m: done.append(m))
-        while not done and network.sim.step():
-            pass
-        message = done[0]
-        print(
-            f"  send {index}: mode={message.routing_mode.value:12s} "
-            f"T_msg={message.transmission_time} cycles"
-        )
+    # Rank 0 on node 0 sends to rank 1 on the last node.  Before every send
+    # the job asks the rank's policy for a mode; once the send is acked it
+    # feeds the NIC-counter delta back to the policy.
+    job = MpiJob(
+        network,
+        [0, network.num_nodes - 1],
+        policy_factory=lambda: ApplicationAwarePolicy(config.nic),
+        name="quickstart",
+    )
+
+    def program(ctx):
+        for index in range(6):
+            if ctx.rank == 1:
+                yield ctx.irecv(0)
+                continue
+            send = ctx.isend(1, 64 * 1024)
+            yield send
+            message = send.payload  # the acked Message
+            print(
+                f"  send {index}: mode={message.routing_mode.value:12s} "
+                f"T_msg={message.transmission_time} cycles"
+            )
+
+    job.run(program)
     print(
-        f"  fraction of bytes sent with the Default family: "
-        f"{runtime.default_traffic_fraction:.0%}"
+        f"  fraction of rank 0's bytes sent with the Default family: "
+        f"{job.policies[0].default_traffic_fraction():.0%}"
     )
 
 

@@ -10,8 +10,8 @@ The package provides, from the bottom up:
 * the routing modes of the Cray Aries interconnect, including UGAL adaptive
   routing with configurable minimal bias (:mod:`repro.routing`);
 * the paper's contribution: the NIC-counter performance model, the
-  application-aware routing selector (Algorithm 1) and its runtime shim
-  (:mod:`repro.core`);
+  application-aware routing selector (Algorithm 1) and the per-rank
+  routing policies the MPI layer runs it through (:mod:`repro.core`);
 * an MPI-like layer with collectives, microbenchmarks and application
   proxies, job allocation and background noise
   (:mod:`repro.mpi`, :mod:`repro.workloads`, :mod:`repro.allocation`,
@@ -48,7 +48,6 @@ from repro.core.policy import (
     default_policy,
     high_bias_policy,
 )
-from repro.core.runtime import AppAwareRuntime
 from repro.core.selector import AppAwareSelector, SelectorParams
 from repro.model.base import NetworkModel, build_network_model
 from repro.mpi.job import MpiJob, RankContext
@@ -91,7 +90,6 @@ __all__ = [
     "ApplicationAwarePolicy",
     "default_policy",
     "high_bias_policy",
-    "AppAwareRuntime",
     # MPI-like layer and experiments
     "MpiJob",
     "RankContext",

@@ -26,16 +26,17 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.campaign.plan import FLOW_ONLY_TAG, CampaignPlan, RunSpec, scale_for
+from repro.campaign.plan import (
+    AUDIT_PROVENANCE,
+    FLOW_ONLY_TAG,
+    CampaignPlan,
+    RunSpec,
+    scale_for,
+)
 from repro.campaign.registry import ScenarioError, get_scenario, scenario_tags
 from repro.campaign.store import ArtifactStore, max_abs_rel_delta
 from repro.sim.rng import derive_seed
 from repro.telemetry.core import capture, timed
-
-#: ``routed_from`` marker of flit audit twins.  An audit twin is *not* a
-#: plain flit run — it executes in the audited flow cell's RNG universe —
-#: so its hash must never alias an ordinary flit cache entry.
-AUDIT_PROVENANCE = "audit"
 
 
 @dataclass
@@ -324,11 +325,11 @@ def run_audits(
 ) -> None:
     """The audit post-pass: re-run sampled flow cells on flit, record deltas.
 
-    The twin executes in the flow cell's RNG universe (see
-    :func:`_run_audit_twin`) so the deltas isolate model error.  Stored
-    audits are keyed by the *flow* spec's hash and reused on re-runs
-    (unless ``force``), so a repeated audited campaign is as incremental
-    as an unaudited one.
+    Each twin runs through :func:`run_cell` like any cell, in the flow
+    cell's RNG universe (:meth:`~repro.campaign.plan.RunSpec.run_seed`),
+    so the deltas isolate model error.  Only the deltas are stored, keyed
+    by the *flow* spec's hash and reused on re-runs (unless ``force``), so
+    a repeated audited campaign is as incremental as an unaudited one.
     """
     by_spec = {record.spec: record for record in result.records}
     for flow_spec, twin in select_audit_pairs(plan, fraction):
@@ -353,47 +354,13 @@ def run_audits(
                 AuditRecord(spec=flow_spec, twin=twin, record=twin_record, deltas=deltas)
             )
             continue
-        twin_record = _run_audit_twin(flow_spec, twin)
+        twin_record = run_cell(twin)
         audit = AuditRecord(spec=flow_spec, twin=twin, record=twin_record)
         if twin_record.ok:
             audit.deltas = metric_deltas(flow_record.payload, twin_record.payload)
             if store is not None:
                 store.save_audit(flow_spec, twin, audit.deltas)
         result.audits.append(audit)
-
-
-def _run_audit_twin(flow_spec: RunSpec, twin: RunSpec) -> RunRecord:
-    """Execute a flit audit twin in the audited flow cell's RNG universe.
-
-    The scale is seeded with the *flow* spec's derived run seed — only the
-    substrate changes — so the twin reproduces the exact allocation and
-    noise draws of the audited run and the flow-vs-flit deltas measure the
-    flow model's error, not seed-to-seed variance.  That foreign seed is
-    also why the twin's result must never enter the ordinary run cache
-    (its ``routed_from="audit"`` hash keeps it out).
-    """
-    from repro.campaign import ensure_builtin_scenarios
-
-    with capture() as cap:
-        try:
-            ensure_builtin_scenarios()
-            scenario = get_scenario(twin.scenario)
-            scale = scale_for(flow_spec).with_backend(twin.backend)
-            with timed("audit", scenario=twin.scenario, backend=twin.backend) as t:
-                payload = scenario.runner(scale, **twin.params_dict)
-            payload = _checked_json(twin, payload)
-            with timed("report"):
-                report = scenario.render_report(payload)
-        except Exception as exc:  # noqa: BLE001 - failures become part of the result
-            return RunRecord(spec=twin, error=f"{type(exc).__name__}: {exc}")
-    return RunRecord(
-        spec=twin,
-        payload=payload,
-        report=report,
-        elapsed_s=t.elapsed,
-        telemetry=cap.snapshot(),
-        probes=cap.probe_snapshot(),
-    )
 
 
 def run_cell(spec: RunSpec) -> RunRecord:

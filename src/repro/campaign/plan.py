@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.campaign.registry import (
@@ -51,6 +51,12 @@ LEGACY_SPEC_FORMAT = 2
 
 #: Default campaign master seed (the paper year, as used by the harness).
 DEFAULT_SEED = 2019
+
+#: ``routed_from`` marker of flit audit twins.  An audit twin is *not* a
+#: plain flit run — it executes in the audited flow cell's RNG universe
+#: (:meth:`RunSpec.run_seed`) — so its hash must never alias an ordinary
+#: flit cache entry.
+AUDIT_PROVENANCE = "audit"
 
 #: Scenarios carrying this tag only run on the flow backend (their runners
 #: pin it); the planner records that in the spec so hashes and cache
@@ -186,9 +192,15 @@ class RunSpec:
 
         Uses :func:`repro.sim.rng.derive_seed` so two grid points never share
         random streams, yet re-running the same spec — serially or in a
-        worker process — reproduces the run exactly.
+        worker process — reproduces the run exactly.  A flit audit twin
+        takes its flow cell's seed: it replays the audited run's
+        allocation and noise draws, so the flow-vs-flit deltas measure the
+        flow model's error, not seed-to-seed variance.
         """
-        return derive_seed(self.seed, f"campaign:{self.spec_hash()}")
+        spec = self
+        if self.routed_from == AUDIT_PROVENANCE:
+            spec = replace(self, backend="flow", routed_from=None)
+        return derive_seed(self.seed, f"campaign:{spec.spec_hash()}")
 
     def label(self) -> str:
         """Short human-readable identifier for progress lines."""

@@ -6,9 +6,13 @@
 * :mod:`repro.core.selector` — Algorithm 1, the application-aware routing
   selection performed before every message send;
 * :mod:`repro.core.policy` — per-rank routing policies (static Default /
-  High-Bias and the Application-Aware policy) consumed by the MPI layer;
-* :mod:`repro.core.runtime` — the uGNI-shim runtime, the simulated analogue
-  of the LD_PRELOAD library of Section 4.3.
+  High-Bias and the Application-Aware policy) consumed by the MPI layer.
+
+:class:`repro.mpi.job.MpiJob` is the simulated analogue of the LD_PRELOAD
+library of Section 4.3, and the only place a policy runs: before every
+network send it asks the rank's policy for the routing mode, and once the
+send is acknowledged it feeds the NIC-counter delta back to a policy that
+observes (Algorithm 1's).
 """
 
 from repro.core.perf_model import (
@@ -24,7 +28,6 @@ from repro.core.policy import (
     default_policy,
     high_bias_policy,
 )
-from repro.core.runtime import AppAwareRuntime
 
 __all__ = [
     "estimate_transmission_cycles",
@@ -37,5 +40,4 @@ __all__ = [
     "ApplicationAwarePolicy",
     "default_policy",
     "high_bias_policy",
-    "AppAwareRuntime",
 ]

@@ -13,6 +13,11 @@ multiplies the estimate by the candidate's hop count (longer paths hurt
 more), adds the mode's bias to non-minimal candidates, and picks the lowest
 score.  Deterministic modes (``MIN_HASH``, ``NMIN_HASH``, ``IN_ORDER``) skip
 the scoring entirely.
+
+With probes on, a seeded sample of adaptive decisions is audited: the one
+decision path hands the candidates it scored to a read-only audit, which
+re-scores each under the live credit view and records whether the choice
+would have flipped (see :mod:`repro.telemetry.probes`).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.config import RoutingConfig
 from repro.routing.bias import bias_for_mode
 from repro.routing.modes import RoutingMode
-from repro.telemetry.probes import PROBES
+from repro.telemetry.probes import PROBES, ProbeRecorder
 from repro.topology.dragonfly import DragonflyTopology
 from repro.topology.paths import PathSampler
 
@@ -150,7 +155,7 @@ class UgalSelector:
             recorder = PROBES.recorder
             if recorder is not None and recorder.want_decision():
                 return self._record(
-                    self._select_audited(src_router, dst_router, mode, recorder)
+                    self._select_adaptive(src_router, dst_router, mode, recorder)
                 )
         return self._record(self._select_adaptive(src_router, dst_router, mode))
 
@@ -167,10 +172,22 @@ class UgalSelector:
         return bias
 
     def _select_adaptive(
-        self, src_router: int, dst_router: int, mode: RoutingMode
+        self,
+        src_router: int,
+        dst_router: int,
+        mode: RoutingMode,
+        recorder: Optional[ProbeRecorder] = None,
     ) -> PathDecision:
+        """Score the minimal, then the non-minimal candidates; keep the best.
+
+        The only adaptive decision path.  Given a probe ``recorder`` (a
+        sampled decision), it also hands :meth:`_audit` the candidates, as
+        ``(path, minimal, stale score)`` in draw order, and the winner's
+        index.
+        """
         cfg = self.config
         bias = self._bias_for(mode, src_router, dst_router)
+        trail: Optional[list] = None if recorder is None else []
 
         # Prefer minimal candidates on ties so a zero-bias idle network still
         # routes minimally (matching hardware behaviour at low load): minimal
@@ -181,10 +198,11 @@ class UgalSelector:
         best_path: Optional[Path] = None
         best_score = 0.0
         best_minimal = True
-        considered = 0
+        best_index = 0
         prev_path: Optional[Path] = None
         prev_score = 0.0
-        for _ in range(cfg.minimal_candidates):
+        n_minimal = cfg.minimal_candidates
+        for index in range(n_minimal):
             path = sampler.minimal(src_router, dst_router)
             # The sampler returns interned tuples, so two draws of the same
             # minimal route are the *same object*; scoring is pure at a fixed
@@ -198,103 +216,82 @@ class UgalSelector:
             if best_path is None or score < best_score:
                 best_score = score
                 best_path = path
-            considered += 1
+                best_index = index
+            if trail is not None:
+                trail.append((path, True, score))
         penalty = cfg.nonminimal_penalty
-        for _ in range(cfg.nonminimal_candidates):
+        considered = n_minimal + cfg.nonminimal_candidates
+        for index in range(n_minimal, considered):
             path = sampler.nonminimal(src_router, dst_router)
             score = score_of(path) * penalty + bias
             if best_path is None or score < best_score:
                 best_score = score
                 best_path = path
                 best_minimal = False
-            considered += 1
+                best_index = index
+            if trail is not None:
+                trail.append((path, False, score))
         assert best_path is not None
+        if trail is not None:
+            self._audit(src_router, dst_router, mode, bias, trail, best_index,
+                        recorder)
         return PathDecision(best_path, best_minimal, best_score, considered)
 
     # -- decision audit ----------------------------------------------------------
 
-    def _select_audited(
-        self, src_router: int, dst_router: int, mode: RoutingMode, recorder
-    ) -> PathDecision:
-        """An adaptive decision that also records its full audit trail.
+    def _audit(
+        self,
+        src_router: int,
+        dst_router: int,
+        mode: RoutingMode,
+        bias: float,
+        trail: list,
+        chosen: int,
+        recorder: ProbeRecorder,
+    ) -> None:
+        """Record one decision with every candidate re-scored under the live view.
 
-        Decision-identical to :meth:`_select_adaptive`: candidates are
-        sampled up front, which consumes the RNG in the same order as the
-        interleaved scalar loop (scoring draws nothing), the stale scores
-        use the exact :meth:`_path_score` arithmetic and congestion reads,
-        and the minimal-first strictly-better tie-break is reproduced.  On
-        top of that, every candidate is re-scored under the *live* credit
-        view (:meth:`repro.network.link.Link.occupancy_view` — a pure
-        read), flagging decisions that would flip without the
+        Reads only: each candidate's first hop gives its queue depth, the
+        stale far-end view its score used (``far_congestion`` returns the
+        same value again at the same instant) and the live credit view
+        (:meth:`repro.network.link.Link.occupancy_view`).  A decision whose
+        winner differs under the live view would flip without the
         ``credit_info_delay`` staleness: the phantom-congestion signal.
         """
-        cfg = self.config
-        bias = self._bias_for(mode, src_router, dst_router)
-        sampler = self.sampler
-        minimal_paths = [
-            sampler.minimal(src_router, dst_router)
-            for _ in range(cfg.minimal_candidates)
-        ]
-        nonminimal_paths = [
-            sampler.nonminimal(src_router, dst_router)
-            for _ in range(cfg.nonminimal_candidates)
-        ]
-        paths = minimal_paths + nonminimal_paths
-        n_min = len(minimal_paths)
-        penalty = cfg.nonminimal_penalty
+        penalty = self.config.nonminimal_penalty
         far_weight = self._far_weight
         delay = self._info_delay
         links = self.links
         probe = self.link_probe
         now = 0
         candidates = []
-        best_idx = -1
-        best_score = 0.0
-        best_minimal = True
-        live_idx = -1
+        live_index = -1
         live_best = 0.0
-        for i, path in enumerate(paths):
-            minimal = i < n_min
-            hops = len(path) - 1
+        for index, (path, minimal, score) in enumerate(trail):
             queue = 0
             far_stale = 0.0
             far_live = 0.0
-            if hops <= 0:
-                score = 0.0
-                live = 0.0
+            # Without a link to read (a structural selector) the score is
+            # the hop count alone, the same under either view.
+            live = score
+            if links is not None:
+                link = links[(path[0], path[1])]
             else:
-                if links is not None:
-                    link = links[(path[0], path[1])]
-                elif probe is not None:
-                    link = probe(path[0], path[1])
+                link = probe(path[0], path[1]) if probe is not None else None
+            if link is not None:
+                hops = len(path) - 1
+                now = link.sim._now
+                if delay <= 0:
+                    far_stale = float(link.capacity - link.credits)
                 else:
-                    link = None
-                if link is None:
-                    score = float(hops)
-                    live = score
-                else:
-                    now = link.sim._now
-                    # Stale view first, computed exactly as _path_score
-                    # would (including its mutations — which the unaudited
-                    # decision would have performed identically); the live
-                    # view after it is a pure read.
-                    if delay <= 0:
-                        far_stale = float(link.capacity - link.credits)
-                    else:
-                        far_stale = link.far_congestion(delay)
-                    far_live = float(link.occupancy_view(now))
-                    queue = link.queue_flits
-                    score = (queue + far_weight * far_stale) * hops + hops
-                    live = (queue + far_weight * far_live) * hops + hops
-            if not minimal:
-                score = score * penalty + bias
-                live = live * penalty + bias
-            if best_idx < 0 or score < best_score:
-                best_idx = i
-                best_score = score
-                best_minimal = minimal
-            if live_idx < 0 or live < live_best:
-                live_idx = i
+                    far_stale = link.far_congestion(delay)
+                far_live = float(link.occupancy_view(now))
+                queue = link.queue_flits
+                live = (queue + far_weight * far_live) * hops + hops
+                if not minimal:
+                    live = live * penalty + bias
+            if live_index < 0 or live < live_best:
+                live_index = index
                 live_best = live
             candidates.append({
                 "path": list(path),
@@ -305,7 +302,6 @@ class UgalSelector:
                 "score": round(score, 3),
                 "score_live": round(live, 3),
             })
-        flip = paths[best_idx] != paths[live_idx]
         recorder.record_decision({
             "t": now,
             "src": src_router,
@@ -313,13 +309,12 @@ class UgalSelector:
             "mode": mode.name,
             "bias": bias,
             "penalty": penalty,
-            "chosen": best_idx,
-            "minimal": best_minimal,
-            "live_choice": live_idx,
-            "flip": flip,
+            "chosen": chosen,
+            "minimal": trail[chosen][1],
+            "live_choice": live_index,
+            "flip": trail[chosen][0] != trail[live_index][0],
             "candidates": candidates,
         })
-        return PathDecision(paths[best_idx], best_minimal, best_score, len(paths))
 
     def _record(self, decision: PathDecision) -> PathDecision:
         self.decisions += 1

@@ -23,8 +23,9 @@ from repro.campaign import (
     scenario_names,
     select_audit_pairs,
 )
-from repro.campaign.executor import AUDIT_PROVENANCE, metric_deltas
+from repro.campaign.executor import metric_deltas
 from repro.campaign.plan import (
+    AUDIT_PROVENANCE,
     DEFAULT_SEED,
     LEGACY_SPEC_FORMAT,
     SPEC_FORMAT,
@@ -167,6 +168,10 @@ class TestAuditSelection:
             assert twin.params == flow_spec.params
             assert twin.scale == flow_spec.scale and twin.seed == flow_spec.seed
             assert twin.spec_hash() != flow_spec.spec_hash()
+            # It runs on flit in the flow cell's random universe.
+            scale = scale_for(twin)
+            assert scale.backend == "flit"
+            assert scale.seed == twin.run_seed() == flow_spec.run_seed()
             # An audit twin must never alias a plain (cacheable) flit run.
             plain = RunSpec.make(
                 twin.scenario, twin.params_dict, scale=twin.scale,

@@ -1,4 +1,4 @@
-"""Tests for routing policies and the uGNI-shim runtime."""
+"""Tests for the static and application-aware routing policies."""
 
 from __future__ import annotations
 
@@ -6,16 +6,16 @@ import pytest
 
 from repro.allocation.policies import allocate_inter_group_pair
 from repro.analysis.stats import median
-from repro.config import NicConfig, SimulationConfig
+from repro.config import NicConfig
 from repro.core.policy import (
     ApplicationAwarePolicy,
     StaticRoutingPolicy,
     default_policy,
     high_bias_policy,
 )
-from repro.core.runtime import AppAwareRuntime
 from repro.core.selector import SelectorParams
 from repro.experiments.harness import ExperimentScale
+from repro.mpi.job import MpiJob
 from repro.network.counters import CounterSnapshot
 from repro.network.network import Network
 from repro.routing.modes import RoutingMode
@@ -94,81 +94,37 @@ class TestApplicationAwarePolicy:
         mode = policy.mode_for(1 << 20, 1, collective="alltoall")
         assert mode in (RoutingMode.ADAPTIVE_1, RoutingMode.ADAPTIVE_3)
 
-
-class TestAppAwareRuntime:
-    def test_send_and_feedback_loop(self):
-        network = Network(SimulationConfig.tiny())
-        runtime = AppAwareRuntime(network, node_id=0)
-        acked = []
-        runtime.send(network.num_nodes - 1, 8192, on_acked=lambda m: acked.append(m))
-        network.run_until_idle()
-        assert acked and acked[0].acked
-        # The feedback loop must have populated the selector's observations.
-        selector = runtime.policy.selector
-        assert (
-            selector._adaptive_obs.latency is not None
-            or selector._bias_obs.latency is not None
-        )
-        assert runtime.messages_sent == 1
-        assert runtime.bytes_sent == 8192
-
-    def test_static_policy_runtime(self):
-        network = Network(SimulationConfig.tiny())
-        runtime = AppAwareRuntime(network, node_id=0, policy=high_bias_policy())
-        message = runtime.send(network.num_nodes - 1, 4096)
-        network.run_until_idle()
-        assert message.delivered
-        assert message.routing_mode is RoutingMode.ADAPTIVE_3
-        assert runtime.describe() == "HighBias"
-
-    def test_delivered_callback(self):
-        network = Network(SimulationConfig.tiny())
-        runtime = AppAwareRuntime(network, node_id=0)
-        delivered = []
-        runtime.send(5, 1024, on_delivered=lambda m: delivered.append(m.id))
-        network.run_until_idle()
-        assert len(delivered) == 1
-
-    def test_default_traffic_fraction_reported(self):
-        network = Network(SimulationConfig.tiny())
-        runtime = AppAwareRuntime(network, node_id=0)
-        for _ in range(4):
-            runtime.send(network.num_nodes - 1, 16384)
-            network.run_until_idle()
-        assert 0.0 <= runtime.default_traffic_fraction <= 1.0
-
-    def test_successive_sends_adapt(self):
-        """After several messages the selector has data for both modes or has settled."""
-        network = Network(SimulationConfig.tiny())
-        runtime = AppAwareRuntime(network, node_id=0)
-        for _ in range(6):
-            runtime.send(network.num_nodes - 1, 32768)
-            network.run_until_idle()
-        selector = runtime.policy.selector
-        assert selector.decisions == 6
-
     def test_pingpong_within_bound_of_best_static_mode(self):
         """Algorithm 1 driving an inter-group ping-pong stays within 1.5x of
-        the better static mode's median round trip on the same pair."""
+        the better static mode's median send time on the same pair."""
         scale = ExperimentScale.smoke()
+        size = scale.scaled_size(32 * 1024)
 
-        def median_round_trip(**runtime_args):
+        def median_send_cycles(policy_factory):
             config = scale.simulation_config()
-            network = Network(config)
-            src, dst = allocate_inter_group_pair(config.topology)
-            runtime = AppAwareRuntime(network, src, **runtime_args)
+            job = MpiJob(
+                Network(config),
+                allocate_inter_group_pair(config.topology),
+                policy_factory=policy_factory,
+                name="pingpong",
+            )
             times = []
-            for _ in range(10):
-                start = network.sim.now
-                done = []
-                runtime.send(dst, scale.scaled_size(32 * 1024), on_acked=done.append)
-                while not done and network.sim.step():
-                    pass
-                times.append(network.sim.now - start)
+
+            def program(ctx):
+                for _ in range(10):
+                    if ctx.rank == 0:
+                        start = ctx.now
+                        yield ctx.isend(1, size)
+                        times.append(ctx.now - start)
+                    else:
+                        yield ctx.irecv(0)
+
+            job.run(program)
             return median(times)
 
         best_static = min(
-            median_round_trip(policy=StaticRoutingPolicy(mode))
+            median_send_cycles(lambda mode=mode: StaticRoutingPolicy(mode))
             for mode in (RoutingMode.ADAPTIVE_0, RoutingMode.ADAPTIVE_3)
         )
-        assert median_round_trip() <= best_static * 1.5
+        app_aware = median_send_cycles(lambda: ApplicationAwarePolicy(NIC))
+        assert app_aware <= best_static * 1.5

@@ -9,6 +9,7 @@ analytics built on the sidecars.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import socket
@@ -281,6 +282,30 @@ class TestDecisionAudit:
         assert len(recorder.decisions) == 3
         assert recorder.decisions_sampled == 10
         assert recorder.flips == 5
+
+
+class TestDecisionAuditPin:
+    """The audit trail of a fully audited one-cell flit run, pinned.
+
+    Recorded while the audit still re-drew and re-scored its candidates
+    in a separate copy of the UGAL decision; the audit now reads the
+    candidates the decision itself scored, and must record the same
+    trail: every candidate's reads and scores, the stale and live
+    winners, and the flip count.
+    """
+
+    DECISIONS_DIGEST = "4503f6a856441de0cee44cedc693c4a71bfe531150df1dd6352f07a6b652801d"
+
+    def test_audit_trail_matches_the_pin(self, audit_all):
+        snapshot = run_cell(_spec("flit")).probes
+        text = json.dumps(snapshot["decisions"], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DECISIONS_DIGEST
+        counts = (
+            snapshot["decisions_seen"],
+            snapshot["decisions_sampled"],
+            snapshot["flips"],
+        )
+        assert counts == (504, 504, 122)
 
 
 # -- wire round-trip ----------------------------------------------------------------
