@@ -87,6 +87,12 @@ def main() -> None:
         f"  fraction of rank 0's bytes sent with the Default family: "
         f"{job.policies[0].default_traffic_fraction():.0%}"
     )
+    # The job-level figure weights each rank by the bytes it sent, so the
+    # receive-only rank 1 does not dilute it: it matches rank 0's.
+    print(
+        f"  fraction of the job's bytes sent with the Default family: "
+        f"{job.default_traffic_fraction():.0%}"
+    )
 
 
 if __name__ == "__main__":

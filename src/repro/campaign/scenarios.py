@@ -504,7 +504,7 @@ def run_cluster_trace(
     A seeded synthetic trace (hundreds of arrivals) replays through the
     FIFO :class:`~repro.cluster.scheduler.ClusterScheduler` on one shared
     1056-node flow network; every job's slowdown is measured against its
-    memoized isolated baseline, and the per-job rows feed the
+    own isolated baseline (one per job), and the per-job rows feed the
     interference-matrix report.
     """
     config = _large_dragonfly(scale.seed)

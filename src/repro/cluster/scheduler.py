@@ -16,8 +16,8 @@ jobs start and stop):
   nodes and immediately re-try admission at the same cycle.
 
 Per-job metrics come out as :class:`JobRecord` rows — wait time, runtime,
-slowdown/stretch against a memoized isolated baseline (the same job, same
-placement, same seeds, alone on a fresh network) — and trace-level
+slowdown/stretch against the job's own isolated baseline (the same job,
+same placement, same seeds, alone on a fresh network) — and trace-level
 aggregates (makespan, mean/p95 slowdown, Jain fairness) via
 :meth:`ClusterResult.metrics`, shaped for the campaign store's flat metric
 columns.
@@ -231,7 +231,6 @@ class ClusterScheduler:
         # policies raise MachineFullError before sampling), so retries
         # cannot skew the sequence.
         self._alloc_rng = network.streams.stream(f"{name}:alloc")
-        self._baseline_cache: Dict[Tuple, int] = {}
 
     # -- inspection -------------------------------------------------------------
 
@@ -285,7 +284,9 @@ class ClusterScheduler:
         if self.baseline_factory is not None:
             # Post-pass in job-id order: baselines run on fresh networks
             # with the same job names (hence the same derived RNG streams),
-            # so they are order-independent and memoizable.
+            # so they are order-independent.  Each job gets its own: the
+            # name seeds its OS-noise draws, so two jobs of the same shape
+            # on the same nodes do not share a baseline.
             for record in sorted(self._done, key=lambda r: r.job.job_id):
                 record.isolated_cycles = self._isolated_cycles(record)
         return ClusterResult(
@@ -417,22 +418,13 @@ class ClusterScheduler:
     # -- isolated baselines -----------------------------------------------------
 
     def _isolated_cycles(self, record: JobRecord) -> int:
-        """Cycles the job takes alone on a fresh network (memoized).
+        """Cycles the job takes alone on a fresh network.
 
         The baseline job reuses the shared run's node placement and job
         name; name-derived RNG streams make its host-noise draws identical,
         so the only difference from the shared run is the absence of other
         tenants.
         """
-        key = (
-            record.job.workload,
-            record.job.iterations,
-            record.job.size_bytes,
-            record.nodes,
-        )
-        cached = self._baseline_cache.get(key)
-        if cached is not None:
-            return cached
         network = self.baseline_factory()
         workload = record.job.build_workload()
         mode = self.routing_mode
@@ -444,6 +436,4 @@ class ClusterScheduler:
         )
         started = network.sim.now
         finished_at = mpi_job.run(workload.program)
-        cycles = max(1, finished_at - started)
-        self._baseline_cache[key] = cycles
-        return cycles
+        return max(1, finished_at - started)

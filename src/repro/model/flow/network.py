@@ -369,6 +369,35 @@ class FlowLinkSampler(ProbeSampler):
             )
 
 
+def _capacity_function(
+    topology: DragonflyTopology, topo_cfg: TopologyConfig
+) -> Callable[[object], float]:
+    """``capacity_of(link_key)``: a directed link's capacity in flits/cycle.
+
+    Memoized per link.  It closes over the topology, never over a
+    :class:`FlowNetwork`: the solver engines keep it, and a bound method
+    of the network would put every finished network in a reference cycle
+    that only the cyclic garbage collector frees.
+    """
+    cache: Dict[object, float] = {}
+    host_rate = 1.0 / topo_cfg.cycles_per_flit
+
+    def capacity_of(key) -> float:
+        cached = cache.get(key)
+        if cached is not None:
+            return cached
+        if key[0] == "host":
+            value = host_rate
+        else:
+            _, src, dst = key
+            kind = topology.link_kind(src, dst)
+            value = topology.link_width(kind) / topo_cfg.fabric_cycles_per_flit
+        cache[key] = value
+        return value
+
+    return capacity_of
+
+
 class FlowNetwork(NetworkModel):
     """A Dragonfly system resolved at flow granularity."""
 
@@ -403,6 +432,9 @@ class FlowNetwork(NetworkModel):
         #: 48 flows — the default) or ``reference`` (pure Python, the test
         #: oracle); see :mod:`repro.model.flow.engine`.
         self._solver_kind = solver if solver is not None else default_engine_kind()
+        #: ``capacity_of(link_key)``, shared by both solvers (see
+        #: :func:`_capacity_function`).
+        self._capacity_of = _capacity_function(self.topology, topo_cfg)
         self._engine = make_engine(self._solver_kind, self._capacity_of)
         #: Small reference solver for the per-message solo solve in
         #: :meth:`send` — a handful of sub-flows, where plain dicts beat
@@ -414,7 +446,6 @@ class FlowNetwork(NetworkModel):
         self._progress_time = 0
         self._dirty = False
         self._completion_event: Optional[Event] = None
-        self._capacity_cache: Dict[object, float] = {}
         self._paths: PathTable = self.sampler.table
         self._routes = RouteTable.of(self.config)
 
@@ -426,23 +457,6 @@ class FlowNetwork(NetworkModel):
         # cannot change the resolved flows or any payload.
         if PROBES.enabled and PROBES.recorder is not None:
             self.sim.probe_hook = FlowLinkSampler(PROBES.recorder, self)
-
-    # -- link capacities ---------------------------------------------------------
-
-    def _capacity_of(self, key) -> float:
-        """Capacity of a directed link in flits/cycle (memoized)."""
-        cached = self._capacity_cache.get(key)
-        if cached is not None:
-            return cached
-        topo_cfg = self.config.topology
-        if key[0] == "host":
-            value = self._inj_rate
-        else:
-            _, src, dst = key
-            kind = self.topology.link_kind(src, dst)
-            value = self.topology.link_width(kind) / topo_cfg.fabric_cycles_per_flit
-        self._capacity_cache[key] = value
-        return value
 
     # -- overload estimate (the flow backend's congestion signal) ----------------
 
@@ -939,8 +953,13 @@ class FlowNetwork(NetworkModel):
         if state.dst_nic.on_message_delivered is not None:
             state.dst_nic.on_message_delivered(message)
         self.delivered_messages += 1
-        if message.on_delivered is not None:
-            message.on_delivered(message)
+        # Each callback fires once and is dropped before it runs: one that
+        # reaches the message again (an MPI send's request stores it) would
+        # otherwise keep the message in a reference cycle.
+        on_delivered = message.on_delivered
+        if on_delivered is not None:
+            message.on_delivered = None
+            on_delivered(message)
 
     def _sub_flow_acked(self, state: _MessageFlows) -> None:
         state.pending_acks -= 1
@@ -987,6 +1006,8 @@ class FlowNetwork(NetworkModel):
         message.packets_acked = message.num_packets
         message.acked_time = self.sim.now
         state.src_nic.inflight -= 1
-        if message.on_acked is not None:
-            message.on_acked(message)
+        on_acked = message.on_acked
+        if on_acked is not None:
+            message.on_acked = None
+            on_acked(message)
 

@@ -71,9 +71,8 @@ class MpiJob:
         self.streams = streams or network.streams.spawn(self.name)
         factory = policy_factory or default_policy
         self.policies: List[RoutingPolicy] = [factory() for _ in range(self.size)]
-        self.contexts: List[RankContext] = [
-            RankContext(self, rank) for rank in range(self.size)
-        ]
+        #: Bytes each rank handed to the network (intra-node copies excluded).
+        self._network_bytes: List[int] = [0] * self.size
         # Matching structures: (src_rank, dst_rank, tag) -> FIFO queues.
         self._pending_recvs: Dict[Tuple[int, int, object], Deque[Request]] = defaultdict(deque)
         self._unexpected: Dict[Tuple[int, int, object], Deque[Message]] = defaultdict(deque)
@@ -101,6 +100,16 @@ class MpiJob:
         """How many of this job's ranks share the given node."""
         return self._ranks_per_node[node]
 
+    @property
+    def contexts(self) -> List["RankContext"]:
+        """A fresh :class:`RankContext` per rank, built on each access.
+
+        The job keeps none: a stored context refers back to its job, and
+        the pair would outlive the run until the cyclic garbage collector
+        found it.
+        """
+        return [RankContext(self, rank) for rank in range(self.size)]
+
     # -- program execution --------------------------------------------------------
 
     def start(self, program: ProgramFactory) -> None:
@@ -110,7 +119,7 @@ class MpiJob:
         self._finished = False
         self._failures = []
         for rank in range(self.size):
-            generator = program(self.contexts[rank])
+            generator = program(RankContext(self, rank))
             if generator is None:
                 continue
             self._active_ranks += 1
@@ -305,6 +314,7 @@ class MpiJob:
         dst_node = self.node_of(dst_rank)
         policy = self.policies[src_rank]
         mode = policy.mode_for(size_bytes, dst_node, collective)
+        self._network_bytes[src_rank] += size_bytes
         key = (src_rank, dst_rank, tag)
 
         if type(policy).observe is RoutingPolicy.observe:
@@ -393,9 +403,17 @@ class MpiJob:
     # -- reporting ---------------------------------------------------------------------------
 
     def default_traffic_fraction(self) -> float:
-        """Byte-weighted fraction of traffic sent with the Default family."""
+        """Byte-weighted fraction of traffic sent with the Default family.
+
+        Each rank's policy fraction counts by the bytes the rank sent over
+        the network, so a rank that sent nothing does not count.  A job
+        that sent nothing reports the mean over its ranks' policies.
+        """
         fractions = [p.default_traffic_fraction() for p in self.policies]
-        return sum(fractions) / len(fractions)
+        total = sum(self._network_bytes)
+        if total == 0:
+            return sum(fractions) / len(fractions)
+        return sum(f * b for f, b in zip(fractions, self._network_bytes)) / total
 
     def policy_label(self) -> str:
         """Label of the routing policy in use (assumed uniform across ranks)."""

@@ -134,7 +134,6 @@ class Network(NetworkModel):
             self.topology,
             self.config.routing,
             self.streams.stream("routing"),
-            link_probe=self.link,
             links=self._links,
         )
         #: node id -> router id, precomputed for the per-packet routing hook.

@@ -163,8 +163,13 @@ class Nic:
             self.messages_received += 1
             if self.on_message_delivered is not None:
                 self.on_message_delivered(message)
-            if message.on_delivered is not None:
-                message.on_delivered(message)
+            # Each callback fires once and is dropped before it runs: one
+            # that reaches the message again (an MPI send's request stores
+            # it) would otherwise keep the message in a reference cycle.
+            on_delivered = message.on_delivered
+            if on_delivered is not None:
+                message.on_delivered = None
+                on_delivered(message)
         # Send the response back to the source NIC by recycling the delivered
         # request packet in place: nothing else holds a reference to it once
         # its ejection buffer is freed, so flipping the endpoints avoids one
@@ -194,8 +199,10 @@ class Nic:
             self.counters.on_response(latency)
         if message.packets_acked == message.num_packets:
             message.acked_time = self.sim.now
-            if message.on_acked is not None:
-                message.on_acked(message)
+            on_acked = message.on_acked
+            if on_acked is not None:
+                message.on_acked = None
+                on_acked(message)
         # The freed window slot may allow more packets to be injected.
         self._pump()
 

@@ -70,10 +70,11 @@ class Message:
         PUT or GET semantics, affecting packetization.
     on_delivered:
         Callback invoked (once) when the last request packet has been
-        delivered to the destination NIC.
+        delivered to the destination NIC.  The backend resets the
+        attribute to ``None`` just before the call.
     on_acked:
         Callback invoked (once) when the last response has returned to the
-        sending NIC.
+        sending NIC; reset to ``None`` the same way.
     tag:
         Opaque identifier used by the MPI layer for matching.
     """

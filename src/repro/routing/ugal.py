@@ -23,7 +23,7 @@ would have flipped (see :mod:`repro.telemetry.probes`).
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.config import RoutingConfig
 from repro.routing.bias import bias_for_mode
@@ -33,8 +33,6 @@ from repro.topology.dragonfly import DragonflyTopology
 from repro.topology.paths import PathSampler
 
 Path = Tuple[int, ...]
-#: Returns the Link object carrying traffic from the first to the second router.
-LinkProbe = Callable[[int, int], "object"]
 
 
 class PathDecision:
@@ -76,16 +74,11 @@ class UgalSelector:
         Bias values, candidate counts and the credit-information delay.
     rng:
         Random stream used for candidate sampling (hashed tie-breaking).
-    link_probe:
-        Callable mapping ``(src_router, dst_router)`` to the corresponding
-        :class:`repro.network.link.Link`, used to read congestion.  It may be
-        ``None`` for purely structural uses (e.g. tests of path legality), in
-        which case congestion is treated as zero everywhere.
     links:
-        Optional direct mapping ``(src_router, dst_router) -> Link`` covering
-        every fabric link.  When given, the per-candidate congestion probe
-        skips the ``link_probe`` indirection (the scoring runs four times per
-        injected packet, so the call overhead is measurable).
+        Mapping ``(src_router, dst_router) -> Link`` covering every fabric
+        link, read for congestion.  It may be ``None`` for purely
+        structural uses (e.g. tests of path legality), in which case
+        congestion is treated as zero everywhere.
     """
 
     def __init__(
@@ -93,13 +86,11 @@ class UgalSelector:
         topology: DragonflyTopology,
         config: RoutingConfig,
         rng: random.Random,
-        link_probe: Optional[LinkProbe] = None,
         links: Optional[dict] = None,
     ):
         self.topology = topology
         self.config = config
         self.rng = rng
-        self.link_probe = link_probe
         self.links = links
         self.sampler = PathSampler(topology, rng)
         self.decisions = 0
@@ -118,12 +109,9 @@ class UgalSelector:
         if hops <= 0:
             return 0.0
         links = self.links
-        if links is not None:
-            link = links[(path[0], path[1])]
-        elif self.link_probe is not None:
-            link = self.link_probe(path[0], path[1])
-        else:
+        if links is None:
             return float(hops)
+        link = links[(path[0], path[1])]
         delay = self._info_delay
         if delay <= 0:
             far = float(link.capacity - link.credits)
@@ -262,7 +250,6 @@ class UgalSelector:
         far_weight = self._far_weight
         delay = self._info_delay
         links = self.links
-        probe = self.link_probe
         now = 0
         candidates = []
         live_index = -1
@@ -276,9 +263,6 @@ class UgalSelector:
             live = score
             if links is not None:
                 link = links[(path[0], path[1])]
-            else:
-                link = probe(path[0], path[1]) if probe is not None else None
-            if link is not None:
                 hops = len(path) - 1
                 now = link.sim._now
                 if delay <= 0:

@@ -4,7 +4,7 @@ Covers the multi-tenant subsystem end to end: trace generation and SWF
 parsing are pure functions of their inputs; the scheduler never
 double-allocates nodes, queues when the machine is full, re-admits at the
 completion cycle, and replays deterministically; slowdown/stretch come
-from memoized isolated baselines; per-job rows fold into the
+from each job's own isolated baseline; per-job rows fold into the
 interference matrix; `cluster.job` spans and job-count gauges land in
 telemetry snapshots; a dense flow-backend replay is pinned bit for bit.
 """
@@ -17,6 +17,7 @@ import json
 
 import pytest
 
+from repro.allocation.policies import AllocationPolicy
 from repro.analysis.interference import (
     format_interference,
     interference_matrix,
@@ -35,7 +36,9 @@ from repro.cluster import (
     jain_fairness,
 )
 from repro.config import SimulationConfig, TopologyConfig
+from repro.core.policy import StaticRoutingPolicy
 from repro.model.base import build_network_model
+from repro.mpi.job import MpiJob
 from repro.telemetry import TELEMETRY, disable, enable, snapshot_of
 
 
@@ -221,6 +224,36 @@ class TestClusterScheduler:
             assert record.isolated_cycles is not None
             assert record.slowdown is not None
             assert record.stretch >= record.slowdown
+
+    def test_every_job_gets_its_own_baseline(self):
+        # Jobs 3 and 4 of this light trace run the same workload, size and
+        # iteration count on the same contiguous nodes, but their names
+        # seed different OS-noise draws: each is measured alone, never
+        # handed the other's isolated runtime.
+        config = _tiny_flow_config()
+        network = build_network_model(config)
+        trace = JobTrace.synthetic(6, 6, load="light", max_nodes=8)
+        scheduler = ClusterScheduler(
+            network, trace, allocation_policy=AllocationPolicy.CONTIGUOUS,
+            baseline_factory=lambda: build_network_model(config),
+        )
+        result = scheduler.replay()
+        shapes = {
+            (r.job.workload, r.job.iterations, r.job.size_bytes, r.nodes)
+            for r in result.records
+        }
+        assert len(shapes) < len(result.records)
+        mode = scheduler.routing_mode
+        for record in result.records:
+            alone = build_network_model(config)
+            job = MpiJob(
+                alone,
+                list(record.nodes),
+                policy_factory=lambda: StaticRoutingPolicy(mode),
+                name=scheduler._job_name(record.job),
+            )
+            cycles = job.run(record.job.build_workload().program)
+            assert record.isolated_cycles == max(1, cycles)
 
     def test_metrics_without_baseline(self):
         _, result = self._replay(baseline=False)

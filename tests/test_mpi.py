@@ -84,6 +84,31 @@ class TestJobConstruction:
         assert job.policy_label() == "HighBias"
         assert job.default_traffic_fraction() == 0.0
 
+    def test_default_fraction_is_byte_weighted(self):
+        # The quickstart's job: rank 0 sends six 64 KiB messages under
+        # Algorithm 1, rank 1 only receives.  Rank 1's policy reports 0.0
+        # for no bytes; weighted by bytes sent it must not count.
+        config = SimulationConfig.small(seed=7)
+        network = Network(config)
+        job = MpiJob(
+            network,
+            [0, network.num_nodes - 1],
+            policy_factory=lambda: ApplicationAwarePolicy(config.nic),
+            name="quickstart",
+        )
+
+        def program(ctx):
+            for _ in range(6):
+                if ctx.rank == 1:
+                    yield ctx.irecv(0)
+                else:
+                    yield ctx.isend(1, 64 * 1024)
+
+        job.run(program)
+        assert job.policies[0].default_traffic_fraction() == 0.5
+        assert job.policies[1].default_traffic_fraction() == 0.0
+        assert job.default_traffic_fraction() == 0.5
+
 
 class TestPointToPoint:
     def test_blocking_send_recv(self):
