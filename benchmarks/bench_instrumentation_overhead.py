@@ -25,27 +25,37 @@ systematically land on one mode), the minimum over all runs per mode (the
 least-disturbed sample), and up to three attempts — ambient noise can
 only *inflate* the estimate, so retrying a failed attempt is sound while
 a genuine regression keeps failing.  The guard timing is a minimum too.
-A JSON artifact goes to
+That holds on a host of steady speed; where speed drifts by more than the
+bar between runs, one mode's fastest run can be luckier than the other's,
+and the verdict flips (ROADMAP direction 4 has measurements).
+
+A grid is sized by CPU time, not by cell count: it repeats its layer's
+cells until one warm disabled pass takes at least the grid target.  A
+5% bar needs runs long enough that their spread stays well under 5%;
+a grid of a fixed cell count shrinks below that as the simulator gets
+faster (four flow cells once took 0.075 s, and their disabled runs then
+spread by 20%).  A JSON artifact goes to
 ``benchmarks/results/BENCH_instrumentation_overhead.json``::
 
-    python benchmarks/bench_instrumentation_overhead.py            # 8/4-cell grids
-    python benchmarks/bench_instrumentation_overhead.py --smoke    # CI grids (4/2)
+    python benchmarks/bench_instrumentation_overhead.py            # 2 s grids
+    python benchmarks/bench_instrumentation_overhead.py --smoke    # CI: 0.5 s grids
 """
 
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Tuple
 
 if __package__ in (None, ""):  # `python benchmarks/bench_instrumentation_overhead.py`
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
 from benchmarks.conftest import RESULTS_DIR
-from repro.campaign import CampaignPlan, RunSpec, ensure_builtin_scenarios, run_cell
+from repro.campaign import RunSpec, ensure_builtin_scenarios, run_cell
 from repro.telemetry import TELEMETRY
 from repro.telemetry import disable as disable_telemetry
 from repro.telemetry import enable as enable_telemetry
@@ -55,6 +65,9 @@ ENABLED_CEILING_PCT = 5.0
 DISABLED_CEILING_PCT = 1.0
 REPEATS = 8
 ATTEMPTS = 3
+#: CPU seconds one warm disabled pass over a grid must reach.
+GRID_CPU_S = 2.0
+SMOKE_GRID_CPU_S = 0.5
 GUARD_ITERS = 200_000
 GUARD_REPEATS = 5
 
@@ -75,8 +88,8 @@ class Layer:
     name: str
     backend: str
     first_seed: int
+    #: Distinct cells (one seed each) a grid repeats until it is long enough.
     cells: int
-    smoke_cells: int
     enable: Callable[[], None]
     disable: Callable[[], None]
     #: The singleton whose ``enabled`` flag the hot paths check.
@@ -86,44 +99,58 @@ class Layer:
 
 
 LAYERS = (
-    Layer("telemetry", "flow", 4000, 8, 4, enable_telemetry, disable_telemetry,
+    Layer("telemetry", "flow", 4000, 4, enable_telemetry, disable_telemetry,
           TELEMETRY, _spans),
-    Layer("probes", "flit", 4100, 4, 2, enable_probes, disable_probes,
+    Layer("probes", "flit", 4100, 2, enable_probes, disable_probes,
           PROBES, _events_and_decisions),
 )
 
+#: A grid: the cells one measured run executes serially, in order.
+Grid = Tuple[RunSpec, ...]
 
-def _bench_plan(layer: Layer, cells: int) -> CampaignPlan:
-    """A serial grid: distinct seeds, identical work per cell."""
+
+def _layer_cells(layer: Layer) -> Grid:
+    """A layer's distinct cells: one seed each, identical work per cell."""
     ensure_builtin_scenarios()
-    specs = tuple(
+    return tuple(
         RunSpec.make(
             "pingpong-placement",
             {"placement": "inter-groups", "message_kib": 16, "noise": "light"},
             seed=layer.first_seed + i,
             backend=layer.backend,
         )
-        for i in range(cells)
+        for i in range(layer.cells)
     )
-    return CampaignPlan(name=f"bench-{layer.name}", specs=specs)
 
 
-def _run_grid(plan: CampaignPlan) -> float:
+def _run_grid(grid: Grid) -> float:
     """Execute every cell serially in-process; returns CPU seconds."""
     start = time.process_time()
-    for spec in plan.specs:
+    for spec in grid:
         record = run_cell(spec)
         assert record.ok, record.error
     return time.process_time() - start
 
 
-def _run_mode(layer: Layer, plan: CampaignPlan, enabled: bool) -> float:
+def _size_grid(layer: Layer, target_s: float) -> Tuple[Grid, float]:
+    """The layer's cells, repeated until a warm disabled pass reaches ``target_s``.
+
+    Returns the grid and the CPU seconds of the one pass it was sized on.
+    """
+    cells = _layer_cells(layer)
+    layer.disable()
+    _run_grid(cells)  # warm caches/imports outside both measured modes
+    one_pass = _run_grid(cells)
+    return cells * max(1, math.ceil(target_s / one_pass)), one_pass
+
+
+def _run_mode(layer: Layer, grid: Grid, enabled: bool) -> float:
     if enabled:
         layer.enable()
     else:
         layer.disable()
     try:
-        return _run_grid(plan)
+        return _run_grid(grid)
     finally:
         layer.disable()
 
@@ -149,28 +176,28 @@ def _guard_ns(flag) -> float:
     return min(samples) / GUARD_ITERS * 1e9
 
 
-def _guard_hits_per_run(layer: Layer, plan: CampaignPlan) -> int:
+def _guard_hits_per_run(layer: Layer, grid: Grid) -> int:
     """How many disabled-path guard hits one grid makes."""
     enable_telemetry()
     layer.enable()
     try:
-        record = run_cell(plan.specs[0])
+        record = run_cell(grid[0])
         assert record.ok and record.telemetry is not None
         per_cell = layer.guard_hits(record)
     finally:
         layer.disable()
         disable_telemetry()
-    return per_cell * len(plan.specs)
+    return per_cell * len(grid)
 
 
-def _measure_once(layer: Layer, plan: CampaignPlan) -> dict:
+def _measure_once(layer: Layer, grid: Grid) -> dict:
     """One attempt: interleaved order-flipping pairs, minimum per mode."""
     disabled_runs, enabled_runs = [], []
     for pair in range(REPEATS):
         first_enabled = pair % 2 == 1
         for enabled in (first_enabled, not first_enabled):
             (enabled_runs if enabled else disabled_runs).append(
-                _run_mode(layer, plan, enabled)
+                _run_mode(layer, grid, enabled)
             )
     baseline = min(disabled_runs)
     enabled = min(enabled_runs)
@@ -183,25 +210,28 @@ def _measure_once(layer: Layer, plan: CampaignPlan) -> dict:
     }
 
 
-def measure_layer(layer: Layer, cells: int) -> dict:
+def measure_layer(layer: Layer, target_s: float) -> dict:
     """Time one layer's grid disabled and enabled; returns its JSON row."""
-    plan = _bench_plan(layer, cells)
-    _run_grid(plan)  # warm caches/imports outside both measured modes
+    grid, one_pass = _size_grid(layer, target_s)
 
     trials = []
     for _ in range(ATTEMPTS):
-        trials.append(_measure_once(layer, plan))
+        trials.append(_measure_once(layer, grid))
         if trials[-1]["enabled_overhead_pct"] <= ENABLED_CEILING_PCT:
             break
     best = min(trials, key=lambda t: t["enabled_overhead_pct"])
 
     guard_ns = _guard_ns(layer.flag)
-    guard_hits = _guard_hits_per_run(layer, plan)
+    guard_hits = _guard_hits_per_run(layer, grid)
     disabled_pct = guard_hits * guard_ns / (best["baseline_s"] * 1e9) * 100.0
     row = {
         "layer": layer.name,
         "backend": layer.backend,
-        "grid_cells": len(plan),
+        "distinct_cells": layer.cells,
+        "grid_repeats": len(grid) // layer.cells,
+        "grid_cells": len(grid),
+        "grid_target_s": target_s,
+        "sizing_pass_s": round(one_pass, 4),
         "attempts": len(trials),
         "trials": trials,
         "guard_ns_per_check": round(guard_ns, 2),
@@ -214,15 +244,14 @@ def measure_layer(layer: Layer, cells: int) -> dict:
 
 def measure_overhead(smoke: bool) -> dict:
     """Measure every layer; returns the JSON payload."""
+    target_s = SMOKE_GRID_CPU_S if smoke else GRID_CPU_S
     return {
         "benchmark": "instrumentation_overhead",
         "repeats": REPEATS,
+        "grid_target_s": target_s,
         "enabled_ceiling_pct": ENABLED_CEILING_PCT,
         "disabled_ceiling_pct": DISABLED_CEILING_PCT,
-        "layers": [
-            measure_layer(layer, layer.smoke_cells if smoke else layer.cells)
-            for layer in LAYERS
-        ],
+        "layers": [measure_layer(layer, target_s) for layer in LAYERS],
     }
 
 
@@ -255,8 +284,10 @@ def _render(payload: dict) -> str:
     ]
     for row in payload["layers"]:
         lines += [
-            f"  {row['layer']} ({row['grid_cells']}-cell {row['backend']} grid, "
-            f"{row['attempts']} attempt(s))",
+            f"  {row['layer']} ({row['distinct_cells']} {row['backend']} cells "
+            f"x {row['grid_repeats']}, {row['attempts']} attempt(s))",
+            f"    one warm disabled pass: {row['sizing_pass_s']:.3f} s CPU "
+            f"(grid target {row['grid_target_s']:.1f} s)",
             f"    disabled: {row['baseline_s']:.3f} s CPU",
             f"    enabled:  {row['instrumented_s']:.3f} s CPU "
             f"({row['enabled_overhead_pct']:+.2f}%)",

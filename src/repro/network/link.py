@@ -11,7 +11,9 @@ router→NIC).  The link owns
   returned (after the wire latency) once the downstream router forwards the
   packet onward, exactly like Aries' credit flow-control scheme;
 * a timestamped history of the downstream occupancy, from which routing
-  obtains a *delayed* far-end congestion estimate (phantom congestion).
+  obtains a far-end congestion estimate ``credit_info_delay`` cycles stale
+  (phantom congestion).  The history keeps only the samples such a read
+  can still return.
 
 Back-pressure therefore propagates naturally: a congested buffer several hops
 away eventually exhausts the credits of upstream links and finally stalls the
@@ -59,11 +61,13 @@ class Link:
         this many cycles, it proceeds anyway (emulating an escape virtual
         channel).  Keeps pathological cyclic-dependency cases from hanging
         the simulation; occurrences are counted in ``deadlock_reliefs``.
-    track_occupancy:
-        Record the timestamped downstream-occupancy history consulted by
-        :meth:`far_congestion`.  Runs with ``credit_info_delay == 0`` never
-        read the history (the probe answers from the live credit count), so
-        the Network disables tracking for them.
+    credit_info_delay:
+        How many cycles stale :meth:`far_congestion` reads the downstream
+        occupancy (the routing config's ``credit_info_delay``).  The link
+        keeps a ``(time, occupancy)`` history spanning less than this many
+        cycles; ``0`` allocates none and the probe reads the live count.
+        Host links are built with ``0``: routing probes only the first hop
+        of a candidate path, which is always a fabric link.
     """
 
     __slots__ = (
@@ -84,7 +88,7 @@ class Link:
         "_stall_start",
         "_occ_history",
         "_occ_delayed_value",
-        "_track_occupancy",
+        "_window",
         "_credit_arrivals",
         "_wake_scheduled",
         "_ser_table",
@@ -116,7 +120,7 @@ class Link:
         measure_stalls: bool = False,
         on_stall: Optional[Callable[[int, Packet], None]] = None,
         deadlock_timeout: int = 200_000,
-        track_occupancy: bool = True,
+        credit_info_delay: int = 0,
     ):
         if latency < 0:
             raise ValueError("latency must be non-negative")
@@ -124,6 +128,8 @@ class Link:
             raise ValueError("width must be >= 1")
         if buffer_flits < 1:
             raise ValueError("buffer_flits must be >= 1")
+        if credit_info_delay < 0:
+            raise ValueError("credit_info_delay must be non-negative")
         self.sim = sim
         self.name = name
         self.latency = latency
@@ -139,10 +145,14 @@ class Link:
         self.busy_until = 0
         self._retry_scheduled = False
         self._stall_start: Optional[int] = None
-        # (time, occupancy) samples; consulted with a delay by routing.
-        self._occ_history: Deque[Tuple[int, int]] = deque()
+        # (time, occupancy) samples newer than ``now - _window``, in time
+        # order and at most one per cycle; older ones are folded into
+        # ``_occ_delayed_value``, the value visible ``_window`` cycles late.
+        self._occ_history: Optional[Deque[Tuple[int, int]]] = (
+            deque() if credit_info_delay else None
+        )
         self._occ_delayed_value = 0
-        self._track_occupancy = track_occupancy
+        self._window = credit_info_delay
         #: Credits already on the wire: ``[arrival_cycle, flits]`` batches in
         #: arrival order (returns are issued at monotonically non-decreasing
         #: times, so appends keep the deque sorted).  Batches are folded into
@@ -212,29 +222,36 @@ class Link:
             credits += batch[1]
         return self.capacity - credits
 
-    def far_congestion(self, delay: int) -> float:
-        """Downstream occupancy as it was ``delay`` cycles ago.
+    def far_congestion(self) -> float:
+        """Downstream occupancy as it was ``credit_info_delay`` cycles ago.
 
-        With ``delay == 0`` this is the true current occupancy; a larger
-        delay reproduces stale credit information (phantom congestion).
+        With no delay this is the true current occupancy; a positive delay
+        reproduces stale credit information (phantom congestion).  A link
+        answers only at its own delay, the one its history is trimmed for.
+
+        The read returns the last sample at or before the horizon
+        ``now - credit_info_delay``.  Samples are in time order, at most one
+        per cycle, and the clock never runs back, so every later read's
+        horizon is at or after the current one.  A sample at or before the
+        current horizon is therefore one that every later read would pop
+        anyway, and the writers fold such samples into the delayed value as
+        soon as they append a newer one.  Folding early is exact: this read
+        returns the same last sample as it would over the full history.
         """
-        if delay <= 0:
+        window = self._window
+        if not window:
             return float(self.occupancy)
         now = self.sim._now
         arrivals = self._credit_arrivals
         if arrivals and arrivals[0][0] <= now:
             self._settle_credits(now)
-        horizon = now - delay
+        horizon = now - window
         # Advance the delayed pointer: drop samples older than the horizon,
         # remembering the last one dropped — that is the value visible now.
         hist = self._occ_history
         while hist and hist[0][0] <= horizon:
             self._occ_delayed_value = hist.popleft()[1]
         return float(self._occ_delayed_value)
-
-    def total_congestion(self, delay: int, far_weight: float = 1.0) -> float:
-        """Queue depth plus (delayed) downstream occupancy — one-hop UGAL probe."""
-        return self.local_congestion() + far_weight * self.far_congestion(delay)
 
     # -- sending -------------------------------------------------------------
 
@@ -287,7 +304,10 @@ class Link:
         Occupancy-history samples are backdated to each batch's arrival
         cycle.  Every reader settles before touching ``credits`` or the
         history, and fresh batches always land at ``now + latency``, so the
-        history stays in non-decreasing time order.
+        history stays in non-decreasing time order.  A lazy settle may
+        backdate a sample to ``now - credit_info_delay`` or earlier; the
+        fold at the end moves it, with every older sample, into the delayed
+        value (exact, see :meth:`far_congestion`).
         """
         arrivals = self._credit_arrivals
         first = arrivals[0]
@@ -295,7 +315,7 @@ class Link:
             return
         credits = self.credits
         capacity = self.capacity
-        track = self._track_occupancy
+        window = self._window
         hist = self._occ_history
         returned = 0
         while True:
@@ -303,7 +323,7 @@ class Link:
             credits += first[1]
             returned += first[1]
             arrivals.popleft()
-            if track:
+            if window:
                 if hist and hist[-1][0] == t:
                     hist[-1] = (t, capacity - credits)
                 else:
@@ -317,8 +337,9 @@ class Link:
         self.credits_returned += returned
         if credits > capacity:
             raise RuntimeError(f"{self.name}: credit overflow ({credits}/{capacity})")
-        if track and len(hist) > 4096:
-            for _ in range(2048):
+        if window:
+            horizon = now - window
+            while hist and hist[0][0] <= horizon:
                 self._occ_delayed_value = hist.popleft()[1]
 
     def _credit_wake(self) -> None:
@@ -392,15 +413,18 @@ class Link:
         # accounting consistent; with ``borrow`` the balance may go negative.
         credits = self.credits - flits
         self.credits = credits
-        if self._track_occupancy:
+        window = self._window
+        if window:
             hist = self._occ_history
             if hist and hist[-1][0] == now:
                 hist[-1] = (now, self.capacity - credits)
             else:
                 hist.append((now, self.capacity - credits))
-                if len(hist) > 4096:
-                    for _ in range(2048):
-                        self._occ_delayed_value = hist.popleft()[1]
+                # The new sample is newer than the horizon, so the loop
+                # stops before emptying the history.
+                horizon = now - window
+                while hist[0][0] <= horizon:
+                    self._occ_delayed_value = hist.popleft()[1]
         # Release the buffer the packet occupied at the upstream element.
         previous = packet.holding_link
         packet.holding_link = self

@@ -165,10 +165,9 @@ class Network(NetworkModel):
 
     def _build_fabric(self) -> None:
         topo_cfg = self.config.topology
-        # Runs with no credit-information delay answer every far-end probe
-        # from the live credit count, so the per-update occupancy history
-        # would be pure overhead.
-        track_occupancy = self.config.routing.credit_info_delay > 0
+        # Each fabric link keeps the occupancy history UGAL reads at this
+        # delay, and no older sample (none at all for a zero delay).
+        credit_info_delay = self.config.routing.credit_info_delay
         for link_id in self.topology.all_links():
             kind = link_id.kind
             latency = self.topology.link_latency(kind)
@@ -180,7 +179,7 @@ class Network(NetworkModel):
                 buffer_flits=self._buffer_for(topo_cfg.router_buffer_flits, latency),
                 cycles_per_flit=topo_cfg.fabric_cycles_per_flit,
                 deliver=self.routers[link_id.dst].packet_arrived,
-                track_occupancy=track_occupancy,
+                credit_info_delay=credit_info_delay,
             )
             self._links[(link_id.src, link_id.dst)] = link
             self.routers[link_id.src].attach_output(link_id.dst, link)
@@ -191,8 +190,10 @@ class Network(NetworkModel):
         for node_id in range(self.topology.num_nodes):
             router_id = router_of_node(node_id, topo_cfg)
             router = self.routers[router_id]
-            nic = Nic(node_id, router_id, self.sim, nic_cfg, self)
+            nic = Nic(node_id, router_id, self.sim, nic_cfg)
             # NIC -> router (injection) link; stalls here feed the NIC counter.
+            # Host links keep no occupancy history (the default delay of 0):
+            # routing reads only fabric links.
             injection = Link(
                 sim=self.sim,
                 name=f"nic{node_id}->r{router_id}",
@@ -205,10 +206,6 @@ class Network(NetworkModel):
                 deliver=router.packet_arrived,
                 measure_stalls=True,
                 on_stall=nic.record_stall,
-                # Routing only probes the delayed occupancy of *fabric*
-                # links (the first hop of a candidate path), never the host
-                # links, so their history would go unread.
-                track_occupancy=False,
             )
             injection.on_transmit = self.assign_path
             # router -> NIC (ejection) link.
@@ -222,7 +219,6 @@ class Network(NetworkModel):
                 ),
                 cycles_per_flit=topo_cfg.cycles_per_flit,
                 deliver=nic.packet_ejected,
-                track_occupancy=False,
             )
             nic.injection_link = injection
             router.attach_ejection(node_id, ejection)

@@ -19,16 +19,13 @@ follows the description closely:
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional, TYPE_CHECKING
+from typing import Callable, Deque, Optional
 
 from repro.config import NicConfig
 from repro.network.counters import NicCounters
 from repro.network.link import Link
 from repro.network.packet import Message, Packet, RdmaOp
 from repro.sim.engine import Simulator
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.network.network import Network
 
 
 class Nic:
@@ -39,7 +36,6 @@ class Nic:
         "router_id",
         "sim",
         "config",
-        "network",
         "counters",
         "injection_link",
         "outstanding",
@@ -57,13 +53,11 @@ class Nic:
         router_id: int,
         sim: Simulator,
         config: NicConfig,
-        network: "Network",
     ):
         self.node_id = node_id
         self.router_id = router_id
         self.sim = sim
         self.config = config
-        self.network = network
         self.counters = NicCounters()
         #: Set by the Network builder: the NIC→router host link.
         self.injection_link: Optional[Link] = None

@@ -76,7 +76,9 @@ class UgalSelector:
         Random stream used for candidate sampling (hashed tie-breaking).
     links:
         Mapping ``(src_router, dst_router) -> Link`` covering every fabric
-        link, read for congestion.  It may be ``None`` for purely
+        link, read for congestion.  Each link must be built with this
+        config's ``credit_info_delay``: a link's far-end view is stale by
+        its own delay, not the reader's.  It may be ``None`` for purely
         structural uses (e.g. tests of path legality), in which case
         congestion is treated as zero everywhere.
     """
@@ -112,11 +114,10 @@ class UgalSelector:
         if links is None:
             return float(hops)
         link = links[(path[0], path[1])]
-        delay = self._info_delay
-        if delay <= 0:
+        if self._info_delay <= 0:
             far = float(link.capacity - link.credits)
         else:
-            far = link.far_congestion(delay)
+            far = link.far_congestion()
         port_congestion = link.queue_flits + self._far_weight * far
         return port_congestion * hops + hops
 
@@ -268,7 +269,7 @@ class UgalSelector:
                 if delay <= 0:
                     far_stale = float(link.capacity - link.credits)
                 else:
-                    far_stale = link.far_congestion(delay)
+                    far_stale = link.far_congestion()
                 far_live = float(link.occupancy_view(now))
                 queue = link.queue_flits
                 live = (queue + far_weight * far_live) * hops + hops

@@ -184,27 +184,95 @@ class TestCongestionProbes:
         link = make_link(sim, lambda p, l: None, buffer_flits=10)
         link.enqueue(make_packet(flits=5))
         sim.run()
-        assert link.far_congestion(0) == float(link.occupancy)
+        assert link.far_congestion() == float(link.occupancy)
 
     def test_far_congestion_is_delayed(self):
+        # A link answers at its own delay, so each delay gets its own link.
         sim = Simulator()
-        link = make_link(sim, lambda p, l: None, buffer_flits=20)
-        link.enqueue(make_packet(flits=5))
+        stale = make_link(sim, lambda p, l: None, buffer_flits=20,
+                          credit_info_delay=10_000)
+        recent = make_link(sim, lambda p, l: None, buffer_flits=20,
+                           credit_info_delay=100)
+        stale.enqueue(make_packet(flits=5))
+        recent.enqueue(make_packet(flits=5))
         sim.run()
         # The occupancy changed at t<=5; with a huge delay we still see 0.
-        assert link.far_congestion(10_000) == 0.0
+        assert stale.far_congestion() == 0.0
         # Let time pass so the change becomes visible through the delay.
         sim.schedule(500, lambda: None)
         sim.run()
-        assert link.far_congestion(100) == 5.0
+        assert recent.far_congestion() == 5.0
+        assert stale.far_congestion() == 0.0
 
-    def test_total_congestion_combines_terms(self):
+
+class TestOccupancyWindow:
+    """The history holds only samples a read at the link's delay can return.
+
+    Script (delay 20, latency 3, capacity 100); each value becomes visible
+    exactly 20 cycles after its sample:
+
+    * t=0: a 5-flit send (occupancy 5); t=2: 5 credits back, landing at 5
+      (occupancy 0, a sample backdated by the settle at t=24);
+    * t=24: a 6-flit send (6); t=43: a 4-flit send (10);
+    * t=47: 3 credits back, landing at 50 (7), settled lazily by the read
+      at t=69.
+
+    Reads fall one cycle before, at and one cycle after each sample turns
+    visible.  The reads at 24, 43 and 69 share a cycle with a write that
+    folds old samples, so folding one cycle early changes what they see.
+    """
+
+    WINDOW = 20
+    EXPECTED = {
+        24: 5.0, 25: 0.0, 26: 0.0,
+        43: 0.0, 44: 6.0, 45: 6.0,
+        69: 10.0, 70: 7.0, 71: 7.0,
+    }
+
+    def _run_script(self, window):
         sim = Simulator()
-        link = make_link(sim, lambda p, l: None, buffer_flits=5)
-        link.enqueue(make_packet(flits=5))
-        link.enqueue(make_packet(flits=5))
+        link = make_link(sim, lambda p, l: None, latency=3, buffer_flits=100,
+                         credit_info_delay=window)
+        reads = {}
+        spans = []
+
+        def read():
+            reads[sim.now] = link.far_congestion()
+            hist = link._occ_history or ()
+            spans.append((len(hist), hist[-1][0] - hist[0][0] if hist else 0))
+
+        script = [
+            (0, lambda: link.enqueue(make_packet(flits=5))),
+            (2, lambda: link.return_credits(5)),
+            (24, lambda: link.enqueue(make_packet(flits=6))),
+            (43, lambda: link.enqueue(make_packet(flits=4))),
+            (47, lambda: link.return_credits(3)),
+        ]
+        script += [(t, read) for t in self.EXPECTED]
+        # Same-cycle events run in scheduling order: each write before its
+        # cycle's read.
+        for t, action in sorted(script, key=lambda item: item[0]):
+            sim.schedule(t, action)
         sim.run()
-        assert link.total_congestion(0) == link.local_congestion() + link.occupancy
+        return link, reads, spans
+
+    def test_reads_around_each_sample_turning_visible(self):
+        _link, reads, _spans = self._run_script(self.WINDOW)
+        assert reads == self.EXPECTED
+
+    def test_history_spans_less_than_the_window(self):
+        link, _reads, spans = self._run_script(self.WINDOW)
+        assert spans and all(
+            count <= self.WINDOW and span < self.WINDOW for count, span in spans
+        )
+        # The last sample (t=50) is visible by t=70, so nothing is left.
+        assert len(link._occ_history) == 0
+
+    def test_zero_delay_keeps_no_history(self):
+        link, reads, _spans = self._run_script(0)
+        assert link._occ_history is None
+        # Without a delay every read is the live occupancy.
+        assert reads[24] == 6.0 and reads[45] == 10.0 and reads[70] == 7.0
 
 
 class TestStallMeasurement:
@@ -296,3 +364,5 @@ class TestDeadlockRelief:
             make_link(sim, None, width=0)
         with pytest.raises(ValueError):
             make_link(sim, None, buffer_flits=0)
+        with pytest.raises(ValueError):
+            make_link(sim, None, credit_info_delay=-1)

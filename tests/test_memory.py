@@ -1,4 +1,4 @@
-"""Finished runs free themselves by reference counting.
+"""Finished runs free themselves by reference counting; flit links stay small.
 
 A finished flow run (network, job, every sent message and its send
 request) and every isolated-baseline network of a cluster replay must
@@ -9,6 +9,10 @@ would otherwise keep them alive until a collection pass: message ->
 solver engine -> bound method -> network, and job -> rank context -> job.
 Liveness is checked with weak references while ``gc`` is disabled;
 nothing here calls ``gc.collect()``.
+
+A flit link keeps only the occupancy samples a routing read can still
+return, so a long run's links hold at most ``credit_info_delay`` cycles
+of history each.
 """
 
 from __future__ import annotations
@@ -24,13 +28,16 @@ import repro.mpi.job as job_module
 import repro.network.network as flit_network_module
 from repro.cluster import ClusterScheduler, JobTrace
 from repro.config import SimulationConfig, TopologyConfig
+from repro.experiments.harness import ExperimentScale
 from repro.model.base import build_network_model
 from repro.model.flow.network import FlowNetwork
 from repro.mpi.job import MpiJob
 from repro.mpi.request import Request
 from repro.network.network import Network
 from repro.network.packet import Message
+from repro.noise.background import BackgroundTraffic, NoiseLevel
 from repro.telemetry import disable, disable_probes
+from repro.workloads.microbench import PingPongBenchmark
 
 
 @pytest.fixture(autouse=True)
@@ -167,3 +174,36 @@ class TestMessageCallbacks:
         assert fired == {"delivered": 1, "acked": 1}
         assert message.on_delivered is None
         assert message.on_acked is None
+
+
+class TestFlitOccupancyHistory:
+    def test_link_histories_span_less_than_the_credit_delay(self):
+        # The smoke-scale noisy ping-pong of TestSmokePingPongDigest: about
+        # 49,000 cycles, far longer than the 400-cycle delay.
+        scale = ExperimentScale.smoke()
+        config = scale.simulation_config().with_backend("flit")
+        network = build_network_model(config)
+        allocation = [0, network.num_nodes - 1]
+        noise = BackgroundTraffic.for_level(
+            network, allocation, NoiseLevel.MODERATE, name="bench-noise"
+        )
+        noise.start()
+        job = MpiJob(network, allocation, name="bench-flit")
+        PingPongBenchmark(
+            size_bytes=scale.scaled_size(16 * 1024),
+            iterations=scale.pingpong_repetitions,
+            warmup=1,
+        ).run(job)
+        noise.stop()
+        delay = config.routing.credit_info_delay
+        assert delay > 0 and network.sim.now > 10 * delay
+        spans = [
+            link._occ_history[-1][0] - link._occ_history[0][0]
+            for link in network.fabric_links()
+            if link._occ_history
+        ]
+        assert spans
+        assert max(spans) < delay
+        # Routing never reads host links, and they keep no history.
+        hosts = (*network._injection_links, *network._ejection_links)
+        assert not any(link._occ_history for link in hosts)
