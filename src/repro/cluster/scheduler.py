@@ -22,6 +22,15 @@ aggregates (makespan, mean/p95 slowdown, Jain fairness) via
 :meth:`ClusterResult.metrics`, shaped for the campaign store's flat metric
 columns.
 
+Isolated baselines need only the nodes the replay chose, so where a second
+CPU is usable they run in one forked child while the shared replay
+proceeds: the child is forked at the first job start (after the first
+event, so set-up stays single-process), is handed each job as it starts,
+and answers once the replay ends.  Without ``os.fork``, on one usable CPU,
+or with telemetry on (a traced cell keeps its baselines' spans) they run
+in-process after the replay instead.  Either way they run with probes
+paused, so probe series describe the shared network alone.
+
 Everything is driven by seeded named RNG streams, so a replay is a pure
 function of (trace, network config, policy, routing mode) — serial,
 parallel and distributed campaign executions produce identical artifacts.
@@ -29,6 +38,9 @@ parallel and distributed campaign executions produce identical artifacts.
 
 from __future__ import annotations
 
+import json
+import os
+import signal
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
@@ -46,9 +58,14 @@ from repro.model.base import NetworkModel
 from repro.mpi.job import MpiJob
 from repro.routing.modes import RoutingMode
 from repro.telemetry.core import TELEMETRY
+from repro.telemetry.probes import probes_paused
 
 #: Default event budget for one replay (same order as MpiJob.run's default).
 DEFAULT_MAX_EVENTS = 500_000_000
+
+#: The line after the last job sent to a baseline child.  Input that ends
+#: without it means the parent died.
+_END_OF_JOBS = "end\n"
 
 
 class ClusterReplayError(RuntimeError):
@@ -226,6 +243,8 @@ class ClusterScheduler:
         self._done: List[JobRecord] = []
         self._occupied: set = set()
         self._failures: List[BaseException] = []
+        self._fork_baselines = False
+        self._baseline_child: Optional[_BaselineChild] = None
         # One allocation stream per scheduler, derived from the network's
         # master seed — draws happen only on successful admission (the
         # policies raise MachineFullError before sampling), so retries
@@ -271,9 +290,29 @@ class ClusterScheduler:
         )
         if span is not None:
             span.__enter__()
+        # Baselines run on fresh networks with the same job names (hence
+        # the same derived RNG streams), so they are order-independent and
+        # may run anywhere.  Each job gets its own: the name seeds its
+        # OS-noise draws, so two jobs of the same shape on the same nodes
+        # do not share a baseline.  Where a second CPU is usable they run
+        # in a child that _start_job forks at the first job start and
+        # hands every job as it starts; otherwise, and in a traced run
+        # (whose baselines keep their spans), they run here after the
+        # replay.
+        self._fork_baselines = (
+            self.baseline_factory is not None
+            and not TELEMETRY.enabled
+            and hasattr(os, "fork")
+            and _usable_cpus() > 1
+        )
+        isolated: Dict[int, int] = {}
         try:
             self._drive()
+            if self._baseline_child is not None:
+                isolated = self._baseline_child.collect()
         finally:
+            if self._baseline_child is not None:
+                self._baseline_child.kill()
             if span is not None:
                 span.add(completed=len(self._done))
                 span.__exit__(None, None, None)
@@ -282,13 +321,12 @@ class ClusterScheduler:
             default=self.sim.now,
         ) - start_cycle
         if self.baseline_factory is not None:
-            # Post-pass in job-id order: baselines run on fresh networks
-            # with the same job names (hence the same derived RNG streams),
-            # so they are order-independent.  Each job gets its own: the
-            # name seeds its OS-noise draws, so two jobs of the same shape
-            # on the same nodes do not share a baseline.
             for record in sorted(self._done, key=lambda r: r.job.job_id):
-                record.isolated_cycles = self._isolated_cycles(record)
+                record.isolated_cycles = (
+                    isolated[record.job.job_id]
+                    if isolated
+                    else self._isolated_cycles(record)
+                )
         return ClusterResult(
             trace_name=self.trace.name,
             policy=self.policy.value,
@@ -383,6 +421,13 @@ class ClusterScheduler:
             )
             span.__enter__()
         self._running[record.job.job_id] = (record, mpi_job, workload, span)
+        if self._fork_baselines and self._baseline_child is None:
+            try:
+                self._baseline_child = _BaselineChild(self)
+            except OSError:  # out of processes: baselines run after the replay
+                self._fork_baselines = False
+        if self._baseline_child is not None:
+            self._baseline_child.submit(record)
         mpi_job.start(workload.program)
 
     def _job_done(self, record: JobRecord, mpi_job: MpiJob) -> None:
@@ -425,15 +470,142 @@ class ClusterScheduler:
         so the only difference from the shared run is the absence of other
         tenants.
         """
-        network = self.baseline_factory()
-        workload = record.job.build_workload()
-        mode = self.routing_mode
-        mpi_job = MpiJob(
-            network,
-            list(record.nodes),
-            policy_factory=lambda: StaticRoutingPolicy(mode),
-            name=self._job_name(record.job),
-        )
-        started = network.sim.now
-        finished_at = mpi_job.run(workload.program)
+        with probes_paused():
+            network = self.baseline_factory()
+            workload = record.job.build_workload()
+            mode = self.routing_mode
+            mpi_job = MpiJob(
+                network,
+                list(record.nodes),
+                policy_factory=lambda: StaticRoutingPolicy(mode),
+                name=self._job_name(record.job),
+            )
+            started = network.sim.now
+            finished_at = mpi_job.run(workload.program)
         return max(1, finished_at - started)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where there is one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _close_inherited_fds(*keep: int) -> None:
+    """Close every descriptor above stdio except ``keep``.
+
+    A forked child inherits all of its parent's descriptors: in a campaign
+    worker the coordinator socket and the store's files among them.
+    """
+    low = 3
+    for fd in sorted(keep) + [max(os.sysconf("SC_OPEN_MAX"), max(keep) + 1)]:
+        os.closerange(low, fd)
+        low = fd + 1
+
+
+class _BaselineChild:
+    """One forked child computing isolated baselines while the replay runs.
+
+    The parent writes a ``job_id node...`` line per started job, then the
+    end marker, then reads the child's one JSON reply.  The child replies
+    only after its input closes, and keeps reading after a failed
+    baseline, so the parent never blocks writing while the child blocks
+    replying, whatever the trace's length.
+    """
+
+    def __init__(self, scheduler: ClusterScheduler):
+        fds: List[int] = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        jobs_r, jobs_w, results_r, results_w = fds
+        if pid == 0:
+            self._serve(scheduler, jobs_r, results_w)
+        os.close(jobs_r)
+        os.close(results_w)
+        self.name = scheduler.name
+        self.pid: Optional[int] = pid
+        self._jobs = os.fdopen(jobs_w, "w", buffering=1)  # one flush per line
+        self._results = os.fdopen(results_r)
+
+    @staticmethod
+    def _serve(scheduler: ClusterScheduler, jobs_fd: int, results_fd: int) -> None:
+        """The child's whole life; it leaves only through ``os._exit``."""
+        status = 1
+        try:
+            _close_inherited_fds(jobs_fd, results_fd)
+            records = {record.job.job_id: record for record in scheduler._records}
+            cycles: List[Tuple[int, int]] = []
+            error: Optional[Dict[str, object]] = None
+            with os.fdopen(jobs_fd) as jobs:
+                for line in jobs:
+                    if line == _END_OF_JOBS:
+                        break
+                    if error is not None:
+                        continue
+                    job_id, *nodes = map(int, line.split())
+                    record = records[job_id]
+                    record.nodes = tuple(nodes)
+                    try:
+                        cycles.append((job_id, scheduler._isolated_cycles(record)))
+                    except Exception as exc:
+                        error = {"job": job_id, "error": f"{type(exc).__name__}: {exc}"}
+                else:
+                    return  # no end marker: the parent died, nobody reads a reply
+            with os.fdopen(results_fd, "w") as results:
+                json.dump(error or {"cycles": cycles}, results)
+            status = 0
+        finally:
+            os._exit(status)
+
+    def _send(self, line: str) -> None:
+        try:
+            self._jobs.write(line)
+        except BrokenPipeError:
+            raise ClusterReplayError(
+                f"{self.name}: the isolated-baseline child died"
+            ) from None
+
+    def submit(self, record: JobRecord) -> None:
+        """Hand the child one started job."""
+        self._send(f"{record.job.job_id} {' '.join(map(str, record.nodes))}\n")
+
+    def collect(self) -> Dict[int, int]:
+        """End the input, read every job's baseline cycles, reap the child."""
+        self._send(_END_OF_JOBS)
+        self._jobs.close()
+        text = self._results.read()
+        self._results.close()
+        status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+        if not text:
+            raise ClusterReplayError(
+                f"{self.name}: the isolated-baseline child exited with "
+                f"status {status} and no results"
+            )
+        reply = json.loads(text)
+        if "error" in reply:
+            raise ClusterReplayError(
+                f"{self.name}: isolated baseline of job {reply['job']} failed "
+                f"in the baseline child: {reply['error']}"
+            )
+        return {job_id: cycles for job_id, cycles in reply["cycles"]}
+
+    def kill(self) -> None:
+        """Kill and reap the child unless :meth:`collect` did; idempotent."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        for stream in (self._jobs, self._results):
+            try:
+                stream.close()
+            except OSError:  # a line the killed child never read
+                pass

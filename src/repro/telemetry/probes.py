@@ -43,7 +43,8 @@ from __future__ import annotations
 
 import os
 import random
-from typing import Any, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 #: Sampling interval in simulator cycles.
 INTERVAL = 256
@@ -252,6 +253,23 @@ def disable_probes() -> None:
     """Turn probes off; hot paths see ``PROBES.enabled`` False again."""
     PROBES.enabled = False
     PROBES.recorder = None
+
+
+@contextmanager
+def probes_paused() -> Iterator[None]:
+    """Record nothing inside the block, then restore the recorder.
+
+    A network built inside samples no links, and no UGAL decision inside
+    is audited.  This is for side runs of a cell, such as a cluster job's
+    isolated baseline: their samples would land in the cell's series,
+    which are keyed only by (metric, class, group), and restart them at
+    t=0.
+    """
+    recorder, PROBES.recorder = PROBES.recorder, None
+    try:
+        yield
+    finally:
+        PROBES.recorder = recorder
 
 
 if env_probes_enabled():  # pragma: no cover - exercised via subprocess tests

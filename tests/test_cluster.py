@@ -7,6 +7,8 @@ completion cycle, and replays deterministically; slowdown/stretch come
 from each job's own isolated baseline; per-job rows fold into the
 interference matrix; `cluster.job` spans and job-count gauges land in
 telemetry snapshots; a dense flow-backend replay is pinned bit for bit.
+Baselines computed in the forked child match in-process ones, the child
+never outlives its replay, and baselines leave the probe series alone.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -35,18 +38,29 @@ from repro.cluster import (
     WORKLOAD_NAMES,
     jain_fairness,
 )
+from repro.cluster.scheduler import _BaselineChild
 from repro.config import SimulationConfig, TopologyConfig
 from repro.core.policy import StaticRoutingPolicy
 from repro.model.base import build_network_model
 from repro.mpi.job import MpiJob
-from repro.telemetry import TELEMETRY, disable, enable, snapshot_of
+from repro.telemetry import (
+    TELEMETRY,
+    capture,
+    disable,
+    disable_probes,
+    enable,
+    enable_probes,
+    snapshot_of,
+)
 
 
 @pytest.fixture(autouse=True)
 def _telemetry_off():
     disable()
+    disable_probes()
     yield
     disable()
+    disable_probes()
 
 
 def _tiny_flow_config(seed: int = 5) -> SimulationConfig:
@@ -313,6 +327,142 @@ class TestClusterScheduler:
         ]
         assert all(e["cat"] == "cluster" for e in job_events)
         assert all("wait" in e["args"] for e in job_events)
+
+
+class TestIsolatedBaselineChild:
+    """Baselines run in one forked child while the shared replay runs."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Two usable CPUs, and a spy recording each fork's pid and the
+        event count of the scheduler forking it (set ``sim`` first)."""
+        if not hasattr(os, "fork"):
+            pytest.skip("no os.fork on this platform")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        seen = {"sim": None, "forks": []}
+        fork = os.fork
+
+        def spy():
+            events = seen["sim"].events_executed
+            pid = fork()
+            if pid:
+                seen["forks"].append((pid, events))
+            return pid
+
+        monkeypatch.setattr(os, "fork", spy)
+        return seen
+
+    def _scheduler(self, seen=None, factory=None):
+        config = _tiny_flow_config()
+        network = build_network_model(config)
+        if seen is not None:
+            seen["sim"] = network.sim
+        trace = JobTrace.synthetic(5, 10, load="heavy", max_nodes=8)
+        return ClusterScheduler(
+            network, trace,
+            baseline_factory=factory or (lambda: build_network_model(config)),
+        )
+
+    @staticmethod
+    def _assert_reaped(pid):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+    def test_one_fork_per_replay_and_rows_match_in_process_ones(self, forks, monkeypatch):
+        child = self._scheduler(forks).replay().job_rows()
+        assert len(forks["forks"]) == 1
+        pid, events = forks["forks"][0]
+        assert events > 0  # after the first event: set-up stays unforked
+        self._assert_reaped(pid)
+        enable()
+        try:
+            traced = self._scheduler(forks).replay().job_rows()
+        finally:
+            disable()
+        assert len(forks["forks"]) == 1  # traced runs keep their spans here
+        monkeypatch.delattr(os, "fork")
+        in_process = self._scheduler(forks).replay().job_rows()
+        assert all(row["isolated"] for row in child)
+        assert child == in_process == traced
+
+    def test_one_usable_cpu_keeps_baselines_in_process(self, forks, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        result = self._scheduler(forks).replay()
+        assert forks["forks"] == []
+        assert all(r.isolated_cycles for r in result.records)
+
+    def test_failing_baseline_raises_and_leaves_no_child(self, forks):
+        def factory():
+            raise ValueError("no twin network")
+
+        with pytest.raises(ClusterReplayError, match="ValueError: no twin network"):
+            self._scheduler(forks, factory).replay()
+        assert len(forks["forks"]) == 1
+        self._assert_reaped(forks["forks"][0][0])
+
+    def test_failing_job_leaves_no_child(self, forks, monkeypatch):
+        class Crashing:
+            iteration_times = ()
+
+            def program(self, ctx):
+                yield ctx.isend((ctx.rank + 1) % ctx.size, 64)
+                raise RuntimeError("rank crashed mid-replay")
+
+        build = TraceJob.build_workload
+        monkeypatch.setattr(
+            TraceJob, "build_workload",
+            lambda job: Crashing() if job.job_id == 3 else build(job),
+        )
+        with pytest.raises(RuntimeError, match="rank crashed mid-replay"):
+            self._scheduler(forks).replay()
+        assert len(forks["forks"]) == 1
+        self._assert_reaped(forks["forks"][0][0])
+
+    def test_child_exits_silently_when_its_parent_goes(self, forks):
+        # Input that ends without the end marker is what a dead parent
+        # leaves: the child must exit without a reply, not linger.
+        child = _BaselineChild(self._scheduler(forks))
+        child._jobs.close()
+        assert child._results.read() == ""
+        _, status = os.waitpid(child.pid, 0)
+        child.pid = None
+        child.kill()
+        assert os.waitstatus_to_exitcode(status) == 1
+
+
+class TestBaselinesLeaveProbesAlone:
+    """Probe series describe the shared network, never an isolated run."""
+
+    @pytest.mark.parametrize("fork", ["forked", "in-process"])
+    @pytest.mark.parametrize("backend", ["flow", "flit"])
+    def test_probe_snapshot_ignores_baselines(self, backend, fork, monkeypatch):
+        if fork == "forked":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        else:
+            monkeypatch.delattr(os, "fork", raising=False)
+        if backend == "flow":
+            config = SimulationConfig.small(seed=6).with_backend("flow")
+            trace = JobTrace.synthetic(6, 6, load="light", max_nodes=4)
+        else:
+            config = SimulationConfig.tiny(seed=11)
+            trace = JobTrace.synthetic(7, 4, load="heavy", max_nodes=4)
+
+        def probed(factory):
+            enable_probes()
+            with capture() as cap:
+                network = build_network_model(config)
+                ClusterScheduler(network, trace, baseline_factory=factory).replay()
+            return cap.probe_snapshot()
+
+        alone = probed(None)
+        with_baselines = probed(lambda: build_network_model(config))
+        assert alone["series"]
+        assert with_baselines == alone
+        for series in with_baselines["series"]:
+            assert series["t"] == sorted(series["t"])
 
 
 class TestFlowReplayPin:

@@ -18,6 +18,7 @@ of history each.
 from __future__ import annotations
 
 import gc
+import os
 import weakref
 from contextlib import contextmanager
 
@@ -148,6 +149,10 @@ class TestFinishedRunsFreeThemselves:
             return cycles
 
         monkeypatch.setattr(ClusterScheduler, "_isolated_cycles", checked)
+        # Without os.fork the baselines run in this process, after the
+        # replay, where the weak references can see them; a forked child
+        # would build them out of sight.
+        monkeypatch.delattr(os, "fork", raising=False)
         with _gc_disabled():
             network = build_network_model(config)
             trace = JobTrace.synthetic(5, 4, load="heavy", max_nodes=8)
