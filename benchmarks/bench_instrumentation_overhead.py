@@ -27,7 +27,11 @@ only *inflate* the estimate, so retrying a failed attempt is sound while
 a genuine regression keeps failing.  The guard timing is a minimum too.
 That holds on a host of steady speed; where speed drifts by more than the
 bar between runs, one mode's fastest run can be luckier than the other's,
-and the verdict flips (ROADMAP direction 4 has measurements).
+and the verdict flips (ROADMAP direction 4 has measurements).  So each
+attempt and each layer also report ``paired_median_overhead_pct``, the
+median of the per-pair enabled/disabled ratios: the two runs of a pair
+run back to back, so drift that slows both cancels in their ratio.  It
+is reported, not gated; the row's value pools the pairs of every attempt.
 
 A grid is sized by CPU time, not by cell count: it repeats its layer's
 cells until one warm disabled pass takes at least the grid target.  A
@@ -46,10 +50,11 @@ from __future__ import annotations
 import json
 import math
 import pathlib
+import statistics
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, List, Tuple
 
 if __package__ in (None, ""):  # `python benchmarks/bench_instrumentation_overhead.py`
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
@@ -190,6 +195,12 @@ def _guard_hits_per_run(layer: Layer, grid: Grid) -> int:
     return per_cell * len(grid)
 
 
+def _paired_median_pct(disabled_runs: List[float], enabled_runs: List[float]) -> float:
+    """Median of the per-pair enabled/disabled ratios, as an overhead in %."""
+    ratios = [e / d for d, e in zip(disabled_runs, enabled_runs)]
+    return round((statistics.median(ratios) - 1.0) * 100.0, 3)
+
+
 def _measure_once(layer: Layer, grid: Grid) -> dict:
     """One attempt: interleaved order-flipping pairs, minimum per mode."""
     disabled_runs, enabled_runs = [], []
@@ -207,6 +218,7 @@ def _measure_once(layer: Layer, grid: Grid) -> dict:
         "baseline_s": round(baseline, 4),
         "instrumented_s": round(enabled, 4),
         "enabled_overhead_pct": round((enabled / baseline - 1.0) * 100.0, 3),
+        "paired_median_overhead_pct": _paired_median_pct(disabled_runs, enabled_runs),
     }
 
 
@@ -239,6 +251,10 @@ def measure_layer(layer: Layer, target_s: float) -> dict:
         "disabled_overhead_pct": round(disabled_pct, 4),
     }
     row.update(best)  # the attempt the bars are checked against
+    row["paired_median_overhead_pct"] = _paired_median_pct(
+        [v for t in trials for v in t["disabled_s"]],
+        [v for t in trials for v in t["enabled_s"]],
+    )
     return row
 
 
@@ -291,6 +307,8 @@ def _render(payload: dict) -> str:
             f"    disabled: {row['baseline_s']:.3f} s CPU",
             f"    enabled:  {row['instrumented_s']:.3f} s CPU "
             f"({row['enabled_overhead_pct']:+.2f}%)",
+            f"    paired median: {row['paired_median_overhead_pct']:+.2f}% "
+            f"over {row['attempts'] * payload['repeats']} pairs (reported, not gated)",
             f"    disabled guard: {row['guard_ns_per_check']:.0f} ns/check x "
             f"{row['guard_checks_per_run']} checks = "
             f"{row['disabled_overhead_pct']:.4f}%",

@@ -24,8 +24,8 @@ they are easily mistaken for network noise.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import defaultdict
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import HostConfig
 from repro.core.policy import RoutingPolicy, default_policy
@@ -73,9 +73,12 @@ class MpiJob:
         self.policies: List[RoutingPolicy] = [factory() for _ in range(self.size)]
         #: Bytes each rank handed to the network (intra-node copies excluded).
         self._network_bytes: List[int] = [0] * self.size
-        # Matching structures: (src_rank, dst_rank, tag) -> FIFO queues.
-        self._pending_recvs: Dict[Tuple[int, int, object], Deque[Request]] = defaultdict(deque)
-        self._unexpected: Dict[Tuple[int, int, object], Deque[Message]] = defaultdict(deque)
+        # Matching structures: (src_rank, dst_rank, tag) -> FIFO lists.  A
+        # key exists only while its list is non-empty: workloads and
+        # collectives put the iteration in the tag, so most keys match one
+        # message and are never seen again.
+        self._pending_recvs: Dict[Tuple[int, int, object], List[Request]] = {}
+        self._unexpected: Dict[Tuple[int, int, object], List[Optional[Message]]] = {}
         self._ranks_per_node: Dict[int, int] = defaultdict(int)
         for node in self.rank_nodes:
             self._ranks_per_node[node] += 1
@@ -283,12 +286,12 @@ class MpiJob:
         request = Request("recv", dst_rank)
         key = (src_rank, dst_rank, tag)
         unexpected = self._unexpected.get(key)
-        if unexpected:
-            unexpected.popleft()
-            overhead = self._host_delay(self.node_of(dst_rank), self.host.recv_overhead)
-            self.sim.schedule_call(overhead, request.complete, self.sim.now)
+        if unexpected is None:
+            _push(self._pending_recvs, key, request)
         else:
-            self._pending_recvs[key].append(request)
+            message = _pop(self._unexpected, key, unexpected)
+            overhead = self._host_delay(self.node_of(dst_rank), self.host.recv_overhead)
+            self.sim.schedule_call(overhead, request.complete, self.sim.now + overhead, message)
         return request
 
     def post_compute(self, rank: int, cycles: int) -> Request:
@@ -296,7 +299,7 @@ class MpiJob:
         self._check_rank(rank)
         request = Request("compute", rank)
         delay = self._host_delay(self.node_of(rank), max(0, int(cycles)))
-        self.sim.schedule_call(delay, request.complete, self.sim.now)
+        self.sim.schedule_call(delay, request.complete, self.sim.now + delay)
         return request
 
     # -- internal transfer paths ---------------------------------------------------------
@@ -375,13 +378,13 @@ class MpiJob:
     def _match_delivery(self, key: Tuple[int, int, object], message: Optional[Message]) -> None:
         """Complete a posted receive or store the message as unexpected."""
         pending = self._pending_recvs.get(key)
-        if pending:
-            request = pending.popleft()
+        if pending is None:
+            _push(self._unexpected, key, message)
+        else:
+            request = _pop(self._pending_recvs, key, pending)
             dst_rank = key[1]
             overhead = self._host_delay(self.node_of(dst_rank), self.host.recv_overhead)
-            self.sim.schedule_call(overhead, request.complete, self.sim.now, message)
-        else:
-            self._unexpected[key].append(message)
+            self.sim.schedule_call(overhead, request.complete, self.sim.now + overhead, message)
 
     # -- host-side noise model ----------------------------------------------------------------
 
@@ -418,6 +421,23 @@ class MpiJob:
     def policy_label(self) -> str:
         """Label of the routing policy in use (assumed uniform across ranks)."""
         return self.policies[0].describe()
+
+
+def _push(queues: dict, key, item) -> None:
+    """Append ``item`` to ``key``'s FIFO, creating it if absent."""
+    queue = queues.get(key)
+    if queue is None:
+        queues[key] = [item]
+    else:
+        queue.append(item)
+
+
+def _pop(queues: dict, key, queue: list):
+    """Take the oldest item of ``key``'s FIFO ``queue``; drop the key once empty."""
+    item = queue.pop(0)
+    if not queue:
+        del queues[key]
+    return item
 
 
 class RankContext:

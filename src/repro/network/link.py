@@ -24,7 +24,7 @@ measures.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.network.packet import Packet
 from repro.sim.engine import Simulator
@@ -140,6 +140,8 @@ class Link:
         self.measure_stalls = measure_stalls
         self.on_stall = on_stall
         self.credits = self.capacity
+        # A deque: a NIC's 1,024-packet window can fill an injection queue,
+        # where ``list.pop(0)`` would turn quadratic.
         self.queue: Deque[Packet] = deque()
         self.queue_flits = 0
         self.busy_until = 0
@@ -148,18 +150,22 @@ class Link:
         # (time, occupancy) samples newer than ``now - _window``, in time
         # order and at most one per cycle; older ones are folded into
         # ``_occ_delayed_value``, the value visible ``_window`` cycles late.
-        self._occ_history: Optional[Deque[Tuple[int, int]]] = (
-            deque() if credit_info_delay else None
+        # A list, not a deque: the window keeps it short (at most 129
+        # samples in a paper-scale ping-pong), and an empty list takes 56
+        # bytes against a deque's 760.
+        self._occ_history: Optional[List[Tuple[int, int]]] = (
+            [] if credit_info_delay else None
         )
         self._occ_delayed_value = 0
         self._window = credit_info_delay
         #: Credits already on the wire: ``[arrival_cycle, flits]`` batches in
         #: arrival order (returns are issued at monotonically non-decreasing
-        #: times, so appends keep the deque sorted).  Batches are folded into
+        #: times, so appends keep the list sorted).  Batches are folded into
         #: ``credits`` lazily by the next reader instead of each paying a
         #: scheduled event; a wake-up event exists only while the link is
-        #: actually credit-stalled.
-        self._credit_arrivals: Deque[list] = deque()
+        #: actually credit-stalled.  At most one batch per cycle of wire
+        #: latency is in flight, so a list stays short.
+        self._credit_arrivals: List[list] = []
         self._wake_scheduled = False
         #: flits -> serialization cycles, filled lazily (packet sizes come
         #: from a handful of distinct header/payload combinations).
@@ -250,7 +256,7 @@ class Link:
         # remembering the last one dropped — that is the value visible now.
         hist = self._occ_history
         while hist and hist[0][0] <= horizon:
-            self._occ_delayed_value = hist.popleft()[1]
+            self._occ_delayed_value = hist.pop(0)[1]
         return float(self._occ_delayed_value)
 
     # -- sending -------------------------------------------------------------
@@ -322,7 +328,7 @@ class Link:
             t = first[0]
             credits += first[1]
             returned += first[1]
-            arrivals.popleft()
+            arrivals.pop(0)
             if window:
                 if hist and hist[-1][0] == t:
                     hist[-1] = (t, capacity - credits)
@@ -340,7 +346,7 @@ class Link:
         if window:
             horizon = now - window
             while hist and hist[0][0] <= horizon:
-                self._occ_delayed_value = hist.popleft()[1]
+                self._occ_delayed_value = hist.pop(0)[1]
 
     def _credit_wake(self) -> None:
         self._wake_scheduled = False
@@ -424,7 +430,7 @@ class Link:
                 # stops before emptying the history.
                 horizon = now - window
                 while hist[0][0] <= horizon:
-                    self._occ_delayed_value = hist.popleft()[1]
+                    self._occ_delayed_value = hist.pop(0)[1]
         # Release the buffer the packet occupied at the upstream element.
         previous = packet.holding_link
         packet.holding_link = self

@@ -18,8 +18,7 @@ follows the description closely:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Optional
+from typing import Callable, List, Optional
 
 from repro.config import NicConfig
 from repro.network.counters import NicCounters
@@ -62,7 +61,8 @@ class Nic:
         #: Set by the Network builder: the NIC→router host link.
         self.injection_link: Optional[Link] = None
         self.outstanding = 0
-        self._message_queue: Deque[Message] = deque()
+        #: Messages waiting for the active one to finish injecting.
+        self._message_queue: List[Message] = []
         self._active_message: Optional[Message] = None
         self._active_remaining = 0
         self.messages_sent = 0
@@ -88,7 +88,7 @@ class Nic:
             if self._active_message is None:
                 if not self._message_queue:
                     return
-                self._active_message = self._message_queue.popleft()
+                self._active_message = self._message_queue.pop(0)
                 self._active_remaining = self._active_message.num_packets
                 self.messages_sent += 1
             message = self._active_message

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.telemetry.probes import (
     PROBES,
@@ -83,7 +83,7 @@ class Span:
         t1 = time.perf_counter()
         if exc_type is not None:
             self.args["error"] = exc_type.__name__
-        self._tracer._record(self.name, self.cat, self._t0, t1 - self._t0, self.args)
+        self._tracer.record(self.name, self.cat, self._t0, t1 - self._t0, self.args)
         return False  # never swallow exceptions
 
 
@@ -152,8 +152,13 @@ class Tracer:
     def span(self, name: str, cat: str = "span", **args: Any) -> Span:
         return Span(self, name, cat, args)
 
-    def _record(self, name: str, cat: str, t0: float, dur: float,
-                args: Dict[str, Any]) -> None:
+    def tally(self, name: str, dur: float) -> None:
+        """Fold one ``dur``-second occurrence of ``name`` into its aggregate.
+
+        A span without an event, for code that runs thousands of times per
+        capture: count, total and max stay exact at a fraction of a span's
+        cost.
+        """
         agg = self.aggregates.get(name)
         if agg is None:
             self.aggregates[name] = [1, dur, dur]
@@ -162,6 +167,12 @@ class Tracer:
             agg[1] += dur
             if dur > agg[2]:
                 agg[2] = dur
+
+    def record(self, name: str, cat: str, t0: float, dur: float,
+               args: Dict[str, Any]) -> None:
+        """Record one finished span: its aggregate, and its event while
+        the buffer has room (``t0`` is a ``perf_counter()`` reading)."""
+        self.tally(name, dur)
         if len(self.events) >= self.max_events:
             self.dropped += 1
             return
@@ -177,16 +188,36 @@ class Tracer:
 class Metrics:
     """Counters, gauges, and bounded-reservoir histograms."""
 
-    __slots__ = ("counters", "gauges", "histograms")
+    __slots__ = ("counters", "gauges", "histograms", "_watched")
 
     def __init__(self) -> None:
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
         #: name -> {count, total, min, max, samples (bounded)}
         self.histograms: Dict[str, Dict[str, Any]] = {}
+        #: (prefix, live counts, the counts when watched), see :meth:`watch`.
+        self._watched: List[Tuple[str, Dict[str, int], Dict[str, int]]] = []
 
     def incr(self, name: str, value: float = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + value
+
+    def watch(self, prefix: str, counts: Dict[str, int]) -> None:
+        """Report what each of ``counts`` gains from now as a counter.
+
+        For a hot path that keeps its own counts (a flow solver's
+        statistics): it pays nothing per update, and :meth:`counter_totals`
+        adds each count's gain to the counter ``prefix + key``.
+        """
+        self._watched.append((prefix, counts, dict(counts)))
+
+    def counter_totals(self) -> Dict[str, float]:
+        """The counters, with every watched count's gain so far added."""
+        totals = dict(self.counters)
+        for prefix, counts, start in self._watched:
+            for key, value in counts.items():
+                name = prefix + key
+                totals[name] = totals.get(name, 0) + value - start.get(key, 0)
+        return totals
 
     def gauge(self, name: str, value: float) -> None:
         self.gauges[name] = value
@@ -345,7 +376,7 @@ def snapshot_of(tracer: Tracer, metrics: Metrics) -> Dict[str, Any]:
         # per-capture MAX_EVENTS cap (aggregates and phase totals are exact
         # regardless — only the event *list* truncates).
         "events_dropped": tracer.dropped,
-        "counters": dict(metrics.counters),
+        "counters": metrics.counter_totals(),
         "gauges": dict(metrics.gauges),
         "histograms": {k: dict(v) for k, v in metrics.histograms.items()},
         "sim_s": sim_s,

@@ -13,6 +13,10 @@ nothing here calls ``gc.collect()``.
 A flit link keeps only the occupancy samples a routing read can still
 return, so a long run's links hold at most ``credit_info_delay`` cycles
 of history each.
+
+A running job keeps MPI matching state only for messages in flight:
+workloads put the iteration in every tag, so each matching key is used
+once, and an emptied key must go rather than stay for the job's life.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from repro.network.network import Network
 from repro.network.packet import Message
 from repro.noise.background import BackgroundTraffic, NoiseLevel
 from repro.telemetry import disable, disable_probes
-from repro.workloads.microbench import PingPongBenchmark
+from repro.workloads.microbench import AlltoallBenchmark, PingPongBenchmark
 
 
 @pytest.fixture(autouse=True)
@@ -212,3 +216,18 @@ class TestFlitOccupancyHistory:
         # Routing never reads host links, and they keep no history.
         hosts = (*network._injection_links, *network._ejection_links)
         assert not any(link._occ_history for link in hosts)
+
+
+class TestMatchingStateBounded:
+    @pytest.mark.parametrize("backend, iterations", [("flow", 40), ("flit", 10)])
+    def test_alltoall_leaves_no_matching_keys(self, backend, iterations):
+        # Every alltoall step has its own tag, so a job that kept emptied
+        # keys would hold thousands of them here, growing with iterations.
+        config = SimulationConfig.small(seed=3).with_backend(backend)
+        for n in (iterations, 2 * iterations):
+            network = build_network_model(config)
+            step = network.num_nodes // 8
+            job = MpiJob(network, [rank * step for rank in range(8)], name="a2a")
+            AlltoallBenchmark(size_bytes=1024, iterations=n).run(job)
+            assert job._pending_recvs == {}
+            assert job._unexpected == {}

@@ -16,6 +16,7 @@ from repro.mpi.job import MpiJob
 from repro.mpi.request import Request
 from repro.network.counters import NicCounters
 from repro.network.network import Network
+from repro.network.packet import Message
 from repro.noise.background import BackgroundTraffic, NoiseLevel
 from repro.routing.modes import RoutingMode
 from repro.workloads.microbench import PingPongBenchmark
@@ -256,6 +257,72 @@ class TestPointToPoint:
 
         with pytest.raises(RuntimeError):
             job.run(program)
+
+
+@pytest.mark.parametrize("backend", [Network, FlowNetwork])
+class TestRequestResults:
+    """A completed request reports what it completed with, and when."""
+
+    @staticmethod
+    def _job(backend):
+        config = SimulationConfig.small(seed=3).with_host(os_noise_probability=0.0)
+        network = backend(config)
+        return MpiJob(network, [0, network.num_nodes - 1])
+
+    def test_recv_posted_after_arrival_gets_the_message(self, backend):
+        job = self._job(backend)
+        seen = {}
+
+        def program(ctx):
+            if ctx.rank == 0:
+                send = ctx.isend(1, 1024, tag="late")
+                yield send
+                seen["sent"] = send.payload
+            else:
+                yield ctx.compute(50_000)
+                recv = ctx.irecv(0, tag="late")
+                yield recv
+                seen["received"] = recv.payload
+
+        job.run(program)
+        message = seen["sent"]
+        assert isinstance(message, Message)
+        assert message.delivered_time < 50_000
+        assert seen["received"] is message
+
+    def test_compute_reports_the_cycle_it_completes(self, backend):
+        job = self._job(backend)
+        seen = []
+
+        def program(ctx):
+            posted = ctx.now
+            request = ctx.compute(50_000)
+            yield request
+            seen.append((posted, request.completion_time, ctx.now))
+
+        job.run(program)
+        assert len(seen) == 2
+        for posted, completed, resumed in seen:
+            assert completed == posted + 50_000 == resumed
+
+    def test_unexpected_messages_are_received_in_send_order(self, backend):
+        job = self._job(backend)
+        sizes = []
+
+        def program(ctx):
+            if ctx.rank == 0:
+                yield ctx.isend(1, 512, tag="twice")
+                yield ctx.isend(1, 4096, tag="twice")
+            else:
+                yield ctx.compute(200_000)
+                first = ctx.irecv(0, tag="twice")
+                second = ctx.irecv(0, tag="twice")
+                yield [first, second]
+                sizes.extend(r.payload.size_bytes for r in (first, second))
+
+        job.run(program)
+        assert sizes == [512, 4096]
+        assert job._pending_recvs == {} and job._unexpected == {}
 
 
 class TestCollectives:

@@ -21,6 +21,7 @@ import pytest
 
 from repro.campaign import ArtifactStore, ensure_builtin_scenarios, plan_campaign, run_cell
 from repro.campaign.dist.protocol import Channel
+from repro.model.flow.network import FlowNetwork
 from repro.telemetry import (
     NULL_SPAN,
     TELEMETRY,
@@ -113,6 +114,17 @@ class TestTracer:
     def test_default_event_cap(self):
         assert Tracer().max_events == MAX_EVENTS
 
+    def test_tally_folds_into_the_aggregate_without_an_event(self):
+        tracer = Tracer()
+        with tracer.span("solve", cat="test"):
+            pass
+        for dur in (0.5, 2.0, 1.0):
+            tracer.tally("solve", dur)
+        count, total, longest = tracer.aggregates["solve"]
+        assert count == 4 and longest == 2.0
+        assert 3.5 <= total < 3.6
+        assert [ev["name"] for ev in tracer.events] == ["solve"]
+
     def test_metrics_counters_gauges_histograms(self):
         metrics = Metrics()
         metrics.incr("n")
@@ -124,6 +136,16 @@ class TestTracer:
         assert metrics.gauges["depth"] == 7.0
         hist = metrics.histograms["lat"]
         assert hist["count"] == 3 and hist["min"] == 1.0 and hist["max"] == 3.0
+
+    def test_watched_counts_report_their_gain_as_counters(self):
+        metrics = Metrics()
+        counts = {"solves": 3, "full": 1}
+        metrics.incr("solver.solves", 2)
+        metrics.watch("solver.", counts)
+        counts["solves"] += 4
+        counts["full"] += 1
+        assert metrics.counter_totals() == {"solver.solves": 6, "solver.full": 1}
+        assert metrics.counters == {"solver.solves": 2}
 
     def test_snapshot_shape(self):
         enable()
@@ -297,6 +319,33 @@ class TestCellCapture:
         record = run_cell(_spec())
         assert record.ok
         assert record.telemetry is None
+
+    def test_flow_solves_are_tallied_not_spanned(self, monkeypatch):
+        # Each solve folds into the flow.solve aggregate, the engine's own
+        # counts become counters, and only a network's first solve records
+        # an event.
+        networks = []
+        init = FlowNetwork.__init__
+
+        def tracking_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            networks.append(self)
+
+        monkeypatch.setattr(FlowNetwork, "__init__", tracking_init)
+        enable()
+        snapshot = run_cell(_spec()).telemetry
+        solving = [n for n in networks if n.solver_stats["solves"]]
+        assert solving
+        totals = {}
+        for network in solving:
+            for key, value in network.solver_stats.items():
+                totals[key] = totals.get(key, 0) + value
+        counters = snapshot["counters"]
+        assert {key: counters["flow.solver." + key] for key in totals} == totals
+        assert snapshot["spans"]["flow.solve"]["count"] == totals["solves"] > 1
+        events = [ev for ev in snapshot["events"] if ev["name"] == "flow.solve"]
+        assert len(events) == len(solving)
+        assert events[0]["cat"] == "solver" and "flows" in events[0]["args"]
 
     def test_payload_identical_with_and_without_telemetry(self):
         spec = _spec()
